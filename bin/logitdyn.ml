@@ -136,6 +136,13 @@ let segment_key ~game ~n ~beta =
    the same panel sweep as the in-RAM path, both running over the
    segmented kernel — bit-identical results wherever both paths fit. *)
 let mixing_ooc game_id n beta eps jobs segment_file stores no_cache_flags =
+  (* This route bypasses Engine.eval, so it runs the engine's
+     parameter checks itself. *)
+  (match Result.bind (Serve.Engine.check_beta beta) (fun () -> Serve.Engine.check_eps eps) with
+  | Ok () -> ()
+  | Error msg ->
+      Printf.eprintf "%s\n" msg;
+      exit 2);
   let spec = find_game game_id in
   let game, _potential = spec.Serve.Catalog.build ~n ~beta in
   let size = Games.Game.size game in

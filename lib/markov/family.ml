@@ -46,7 +46,6 @@ let plane t i =
   t.planes.(i)
 
 let shared_structure t = t.shared
-let kernel t i = Kernel.of_chain (plane t i)
 
 let find t ~beta:b =
   let key = Int64.bits_of_float b in
@@ -57,12 +56,27 @@ let find t ~beta:b =
   in
   go 0
 
+(* The panel advance over the [live] planes: fused over the shared
+   structure when more than one live plane shares it, per-plane
+   otherwise. Subsets of a shared family still share physically, so
+   the fused path survives planes settling out of a sweep. *)
+let select t live =
+  let chains = Array.map (fun p -> t.planes.(p)) live in
+  if t.shared && Array.length chains > 1 then fun ~pool ~k ~src ~dst ->
+    Chain.evolve_many_shared_into ?pool chains ~k ~src ~dst
+  else fun ~pool ~k ~src ~dst ->
+    Array.iteri
+      (fun i c -> Chain.evolve_many_into ?pool c ~k ~src:src.(i) ~dst:dst.(i))
+      chains
+
+let kernel t =
+  Kernel.v ~size:(size t) ~planes:(num_planes t)
+    ~evolve_into:(fun ~pool ~src ~dst ->
+      Chain.evolve_into ?pool t.planes.(0) ~src ~dst)
+    ~select:(select t)
+
 let evolve_many_into ?pool t ~k ~src ~dst =
   let np = Array.length t.planes in
   if Array.length src <> np || Array.length dst <> np then
     invalid_arg "Family.evolve_many_into: need one src/dst panel per plane";
-  if t.shared then Chain.evolve_many_shared_into ?pool t.planes ~k ~src ~dst
-  else
-    Array.iteri
-      (fun p c -> Chain.evolve_many_into ?pool c ~k ~src:src.(p) ~dst:dst.(p))
-      t.planes
+  select t (Array.init np Fun.id) ~pool ~k ~src ~dst

@@ -60,10 +60,14 @@ val plane : t -> int -> Chain.t
     kernel (checked at build time, not assumed). *)
 val shared_structure : t -> bool
 
-(** [kernel t i] is plane [i] seen through the {!Kernel} evolution
-    interface — [tv_curve_kernel] / [mixing_time_kernel] /
-    [panel_sweep_kernel] / [by_power_kernel] consume it unchanged. *)
-val kernel : t -> int -> Kernel.t
+(** [kernel t] is the whole family as one {!Kernel.t} with one plane
+    per β, in grid order. Its panel advance over a live-plane subset
+    runs the fused {!Chain.evolve_many_shared_into} when the structure
+    is shared and more than one plane is live, and per-plane
+    {!Chain.evolve_many_into} otherwise; its single-distribution evolve
+    is plane 0's. {!Mixing.sweep} settles every plane of it in one
+    lockstep sweep. *)
+val kernel : t -> Kernel.t
 
 (** [find t ~beta] is the index of the plane whose β equals [beta]
     bit-for-bit ([Int64.bits_of_float] comparison, matching the store
@@ -73,8 +77,9 @@ val find : t -> beta:float -> int option
 (** [evolve_many_into ?pool t ~k ~src ~dst] advances one
     [k]-distribution panel per plane: fused over the shared structure
     ({!Chain.evolve_many_shared_into}) when {!shared_structure},
-    per-plane {!Chain.evolve_many_into} otherwise — bit-identical
-    results either way, for any pool size. [src] and [dst] must hold
+    per-plane {!Chain.evolve_many_into} otherwise (always for a
+    one-plane family) — bit-identical results either way, for any pool
+    size. [src] and [dst] must hold
     one panel of dimension [k * size t] per plane, destinations
     pairwise distinct and distinct from every source
     ([Invalid_argument] otherwise). *)

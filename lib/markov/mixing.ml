@@ -1,48 +1,8 @@
-let tv_against pi mu =
-  let n = Array.length mu in
-  if Array.length pi <> n then invalid_arg "Mixing: dimension mismatch";
-  (* Lengths checked above, so unchecked access is safe; left-to-right
-     summation matches the previous [Array.iteri] implementation. *)
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    acc := !acc +. Float.abs (Array.unsafe_get mu i -. Array.unsafe_get pi i)
-  done;
-  0.5 *. !acc
-
-let point_mass n i =
-  let v = Array.make n 0. in
-  v.(i) <- 1.;
-  v
-
-let check_starts t starts =
+let check_starts n starts =
   if starts = [] then invalid_arg "Mixing: empty start set";
   List.iter
-    (fun s ->
-      if s < 0 || s >= Chain.size t then invalid_arg "Mixing: start out of range")
+    (fun s -> if s < 0 || s >= n then invalid_arg "Mixing: start out of range")
     starts
-
-(* The start distributions live in one flat row-major Float64 panel
-   (start r occupies [r·n, (r+1)·n)), double-buffered across steps and
-   advanced by the blocked SpMM [Chain.evolve_many_into]: one traversal
-   of the transition matrix updates every start, so the matrix traffic
-   that used to be re-streamed per start is amortised over the whole
-   panel. Each panel row is bit-identical to the historical per-start
-   push evolve, the per-row TV refresh sums in the same left-to-right
-   order as [tv_against], and Float.max over the tvs is exact and
-   order-independent, so curves and mixing times agree bit-for-bit with
-   the per-start path, pooled or serial. *)
-
-let check_starts_kernel kernel starts =
-  if starts = [] then invalid_arg "Mixing: empty start set";
-  List.iter
-    (fun s ->
-      if s < 0 || s >= Kernel.size kernel then
-        invalid_arg "Mixing: start out of range")
-    starts
-
-let check_pi_kernel kernel pi =
-  if Array.length pi <> Kernel.size kernel then
-    invalid_arg "Mixing: dimension mismatch"
 
 let panel_create len =
   Bigarray.Array1.create Bigarray.Float64 Bigarray.C_layout len
@@ -54,9 +14,9 @@ let panel_of_starts n starts =
   p
 
 (* TV of panel row [r] against pi; bounds are guaranteed by the callers
-   ([pi] length-checked against the chain, panels allocated with
-   [Array.length tvs] rows), and the summation order is exactly that of
-   [tv_against]. *)
+   ([pi] length-checked against the kernel, panels allocated with
+   [Array.length tvs] rows); the sum runs left to right over the
+   states. *)
 let tv_row pi (panel : Chain.panel) r =
   let n = Array.length pi in
   let base = r * n in
@@ -77,146 +37,81 @@ let refresh_tvs pool pi panel tvs =
 
 let worst tvs = Array.fold_left Float.max 0. tvs
 
-(* The one panel-evolution loop every exact-TV consumer drives: the
-   serial CLI paths, the daemon's coalesced scheduler and the
-   out-of-core segmented path all settle their answers through this
-   exact function, generalised over the storage layout via
-   [Kernel.t] — which is what makes "coalesced (or segmented)
-   answers are bit-identical to serial in-RAM answers" true by
-   construction rather than by test alone. *)
-let panel_sweep_kernel ?pool kernel pi ~starts ~decide =
-  check_starts_kernel kernel starts;
-  check_pi_kernel kernel pi;
-  let n = Kernel.size kernel in
-  let k = List.length starts in
-  let src = ref (panel_of_starts n starts) in
-  let dst = ref (panel_create (k * n)) in
-  let tvs = Array.make k 0. in
-  refresh_tvs pool pi !src tvs;
-  let rec go step =
-    match decide ~step ~worst:(worst tvs) with
-    | Some r -> r
-    | None ->
-        kernel.Kernel.evolve_many_into ~pool ~k ~src:!src ~dst:!dst;
-        let previous = !src in
-        src := !dst;
-        dst := previous;
-        refresh_tvs pool pi !src tvs;
-        go (step + 1)
-  in
-  go 0
+(* The one panel-evolution loop behind every exact-TV answer: TV
+   curves, mixing times, β-grids, the daemon's coalesced groups and the
+   out-of-core path all settle through it, generalised over storage
+   layout and plane count by [Kernel.t]. That is what makes coalesced,
+   fused and segmented answers bit-identical to serial in-RAM ones by
+   construction rather than by test alone.
 
-let panel_sweep ?pool t pi ~starts ~decide =
-  panel_sweep_kernel ?pool (Kernel.of_chain t) pi ~starts ~decide
+   Per plane, the start distributions live in one flat row-major
+   Float64 panel (start r occupies [r·n, (r+1)·n)), double-buffered
+   across steps. One kernel advance per step moves every start of
+   every live plane, so matrix (and, for a shared family, index)
+   traffic is amortised over the whole panel and grid. Each panel row
+   is bit-identical to a per-start evolve, the per-row TV refresh sums
+   left to right, and Float.max over the tvs is exact and
+   order-independent — so every plane sees exactly the (step, worst)
+   sequence a solo sweep over it would, pooled or serial.
 
-let tv_curve_kernel ?pool kernel pi ~starts ~steps =
-  if steps < 0 then invalid_arg "Mixing.tv_curve: negative steps";
-  let curve = Array.make (steps + 1) 0. in
-  panel_sweep_kernel ?pool kernel pi ~starts ~decide:(fun ~step ~worst ->
-      curve.(step) <- worst;
-      if step >= steps then Some curve else None)
-
-let tv_curve ?pool t pi ~starts ~steps =
-  tv_curve_kernel ?pool (Kernel.of_chain t) pi ~starts ~steps
-
-let mixing_time_kernel ?pool ?(eps = 0.25) ?(max_steps = 1_000_000) kernel pi
-    ~starts =
-  panel_sweep_kernel ?pool kernel pi ~starts ~decide:(fun ~step ~worst ->
-      if worst <= eps then Some (Some step)
-      else if step >= max_steps then Some None
-      else None)
-
-let mixing_time ?pool ?eps ?max_steps t pi ~starts =
-  mixing_time_kernel ?pool ?eps ?max_steps (Kernel.of_chain t) pi ~starts
-
-let mixing_time_all ?pool ?eps ?max_steps t pi =
-  mixing_time ?pool ?eps ?max_steps t pi ~starts:(List.init (Chain.size t) Fun.id)
-
-(* β-family sweep: one panel per plane, all planes advancing in
-   lockstep through the fused multi-plane SpMM when the family shares
-   its structure (per-plane [evolve_many_into] otherwise — the cell
-   arithmetic is the same either way). Each plane settles independently
-   through [decide] and drops out of the fused advance; the surviving
-   subset still shares the structure (physical sharing is preserved by
-   taking subsets), so the traversal stays fused to the end. Per plane
-   the (step, worst) sequence [decide] observes is exactly the one a
-   solo [panel_sweep_kernel] over that plane would produce — same
-   initial refresh, same per-step evolve/swap/refresh — which is the
-   bit-identity contract the scheduler and the β-grid CLI rely on. *)
-let family_panel_sweep ?pool family ~pis ~starts ~decide =
-  let np = Family.num_planes family in
-  if Array.length pis <> np then
-    invalid_arg "Mixing.family_panel_sweep: need one pi per plane";
-  let n = Family.size family in
+   The live-plane arrays and the kernel's advance are rebuilt only when
+   a plane settles — at most P times per sweep — so a steady-state
+   step allocates no live-set bookkeeping, for any P. *)
+let sweep ?pool kernel ~pis ~starts ~decide =
+  let np = Kernel.planes kernel and n = Kernel.size kernel in
+  if Array.length pis <> np then invalid_arg "Mixing.sweep: need one pi per plane";
   Array.iter
     (fun pi -> if Array.length pi <> n then invalid_arg "Mixing: dimension mismatch")
     pis;
-  if starts = [] then invalid_arg "Mixing: empty start set";
-  List.iter
-    (fun s -> if s < 0 || s >= n then invalid_arg "Mixing: start out of range")
-    starts;
+  check_starts n starts;
   let k = List.length starts in
-  let src = Array.init np (fun _ -> panel_of_starts n starts) in
-  let dst = Array.init np (fun _ -> panel_create (k * n)) in
   let tvs = Array.init np (fun _ -> Array.make k 0.) in
-  for p = 0 to np - 1 do
-    refresh_tvs pool pis.(p) src.(p) tvs.(p)
-  done;
   let settled = Array.make np false in
-  (* The live-plane subset arrays are rebuilt only when a plane
-     settles — membership changes at most [np] times over the whole
-     sweep, so the steady-state step allocates nothing. The panel
-     references in [src_a]/[dst_a] are kept in lockstep with the
-     per-plane double-buffer swap below. *)
-  let live_arr = ref (Array.init np Fun.id) in
-  let planes_a = ref (Array.init np (Family.plane family)) in
-  let src_a = ref (Array.copy src) in
-  let dst_a = ref (Array.copy dst) in
-  let rebuild () =
-    let live =
-      Array.of_list (List.filter (fun p -> not settled.(p)) (List.init np Fun.id))
-    in
-    live_arr := live;
-    planes_a := Array.map (Family.plane family) live;
-    src_a := Array.map (fun p -> src.(p)) live;
-    dst_a := Array.map (fun p -> dst.(p)) live
-  in
+  (* Position i of [live], [srcs] and [dsts] is one live plane. *)
+  let live = ref (Array.init np Fun.id) in
+  let srcs = ref (Array.init np (fun _ -> panel_of_starts n starts)) in
+  let dsts = ref (Array.init np (fun _ -> panel_create (k * n))) in
+  Array.iteri (fun p pi -> refresh_tvs pool pi !srcs.(p) tvs.(p)) pis;
+  let advance = ref (kernel.Kernel.select !live) in
   let rec go step =
     let changed = ref false in
-    Array.iter
-      (fun p ->
-        if decide ~plane:p ~step ~worst:(worst tvs.(p)) then begin
-          settled.(p) <- true;
-          changed := true
-        end)
-      !live_arr;
-    if !changed then rebuild ();
-    if Array.length !live_arr > 0 then begin
-      if Family.shared_structure family then
-        Chain.evolve_many_shared_into ?pool !planes_a ~k ~src:!src_a ~dst:!dst_a
-      else
-        Array.iteri
-          (fun i c ->
-            Chain.evolve_many_into ?pool c ~k ~src:(!src_a).(i) ~dst:(!dst_a).(i))
-          !planes_a;
-      Array.iteri
-        (fun i p ->
-          let previous = src.(p) in
-          src.(p) <- dst.(p);
-          dst.(p) <- previous;
-          (!src_a).(i) <- src.(p);
-          (!dst_a).(i) <- dst.(p);
-          refresh_tvs pool pis.(p) src.(p) tvs.(p))
-        !live_arr;
+    let cur = !live in
+    for i = 0 to Array.length cur - 1 do
+      let p = cur.(i) in
+      if decide ~plane:p ~step ~worst:(worst tvs.(p)) then begin
+        settled.(p) <- true;
+        changed := true
+      end
+    done;
+    if !changed then begin
+      let keep =
+        List.filter (fun i -> not settled.(cur.(i))) (List.init (Array.length cur) Fun.id)
+      in
+      let pick a = Array.of_list (List.map (Array.get a) keep) in
+      srcs := pick !srcs;
+      dsts := pick !dsts;
+      live := pick cur;
+      if keep <> [] then advance := kernel.Kernel.select !live
+    end;
+    let live = !live and src = !srcs and dst = !dsts in
+    if Array.length live > 0 then begin
+      !advance ~pool ~k ~src ~dst;
+      for i = 0 to Array.length live - 1 do
+        let p = live.(i) in
+        let previous = src.(i) in
+        src.(i) <- dst.(i);
+        dst.(i) <- previous;
+        refresh_tvs pool pis.(p) src.(i) tvs.(p)
+      done;
       go (step + 1)
     end
   in
   go 0
 
-let family_mixing_times ?pool ?(eps = 0.25) ?(max_steps = 1_000_000) family ~pis
-    ~starts =
-  let out = Array.make (Family.num_planes family) None in
-  family_panel_sweep ?pool family ~pis ~starts ~decide:(fun ~plane ~step ~worst ->
+(* Settle times of every plane at [eps]: [None] past [max_steps]. *)
+let mixing_times ?pool ?(eps = 0.25) ?(max_steps = 1_000_000) kernel ~pis ~starts =
+  let out = Array.make (Kernel.planes kernel) None in
+  sweep ?pool kernel ~pis ~starts ~decide:(fun ~plane ~step ~worst ->
       if worst <= eps then begin
         (* lint: allow domain-capture — decide runs on the driving thread only *)
         out.(plane) <- Some step;
@@ -225,22 +120,35 @@ let family_mixing_times ?pool ?(eps = 0.25) ?(max_steps = 1_000_000) family ~pis
       else step >= max_steps);
   out
 
+let tv_curve_kernel ?pool kernel pi ~starts ~steps =
+  if steps < 0 then invalid_arg "Mixing.tv_curve: negative steps";
+  let curve = Array.make (steps + 1) 0. in
+  sweep ?pool kernel ~pis:[| pi |] ~starts ~decide:(fun ~plane:_ ~step ~worst ->
+      curve.(step) <- worst;
+      step >= steps);
+  curve
+
+let tv_curve ?pool t pi ~starts ~steps =
+  tv_curve_kernel ?pool (Kernel.of_chain t) pi ~starts ~steps
+
+let mixing_time_kernel ?pool ?eps ?max_steps kernel pi ~starts =
+  (mixing_times ?pool ?eps ?max_steps kernel ~pis:[| pi |] ~starts).(0)
+
+let mixing_time ?pool ?eps ?max_steps t pi ~starts =
+  mixing_time_kernel ?pool ?eps ?max_steps (Kernel.of_chain t) pi ~starts
+
+let mixing_time_all ?pool ?eps ?max_steps t pi =
+  mixing_time ?pool ?eps ?max_steps t pi ~starts:(List.init (Chain.size t) Fun.id)
+
+let family_mixing_times ?pool ?eps ?max_steps family ~pis ~starts =
+  mixing_times ?pool ?eps ?max_steps (Family.kernel family) ~pis ~starts
+
 let tv_at t pi ~start ~steps =
-  check_starts t [ start ];
   if steps < 0 then invalid_arg "Mixing.tv_at: negative steps";
-  let n = Chain.size t in
-  let mu = ref (point_mass n start) in
-  let scratch = ref (Array.make n 0.) in
-  for _ = 1 to steps do
-    Chain.evolve_into t ~src:!mu ~dst:!scratch;
-    let previous = !mu in
-    mu := !scratch;
-    scratch := previous
-  done;
-  tv_against pi !mu
+  (tv_curve t pi ~starts:[ start ] ~steps).(steps)
 
 let empirical_tv ?pool rng t pi ~start ~steps ~replicas =
-  check_starts t [ start ];
+  check_starts (Chain.size t) [ start ];
   if steps < 0 then invalid_arg "Mixing.empirical_tv: negative steps";
   if replicas < 1 then invalid_arg "Mixing.empirical_tv: need replicas";
   (* Replica r always consumes stream r of the split, so the estimate
@@ -332,7 +240,7 @@ let mixing_time_from_decomposition ?(eps = 0.25) ?(max_steps = max_int / 4)
   end
 
 let mixing_time_spectral ?eps ?max_steps t pi ~starts =
-  check_starts t starts;
+  check_starts (Chain.size t) starts;
   mixing_time_from_decomposition ?eps ?max_steps ~decomposition:(decompose t pi)
     pi ~starts
 
@@ -351,7 +259,7 @@ let renormalize_rows m =
   m
 
 let mixing_time_squaring ?(eps = 0.25) ?(max_steps = max_int / 4) t pi ~starts =
-  check_starts t starts;
+  check_starts (Chain.size t) starts;
   let n = Chain.size t in
   if n > 768 then invalid_arg "Mixing.mixing_time_squaring: state space too large";
   let d_matrix m =

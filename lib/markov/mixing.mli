@@ -11,32 +11,32 @@
     test suite. The paper's convention t_mix = t_mix(1/4) is the
     default. *)
 
-(** [panel_sweep ?pool t pi ~starts ~decide] is the single
-    panel-evolution loop behind {!tv_curve} and {!mixing_time}, exposed
-    so batching consumers (the daemon scheduler) settle their answers
-    through the {e same} float operations as the serial paths — the
-    bit-identity of coalesced and per-request answers holds by
-    construction. After every TV refresh (including step 0, before any
-    evolution) [decide ~step ~worst] either returns [Some r] to stop
-    with [r] or [None] to evolve one more step. [decide] must
-    eventually stop the sweep (e.g. on a step bound or deadline); the
-    loop itself imposes no budget. Raises [Invalid_argument] on an
-    empty or out-of-range start set or a [pi] of the wrong length. *)
-val panel_sweep :
-  ?pool:Exec.Pool.t -> Chain.t -> float array -> starts:int list ->
-  decide:(step:int -> worst:float -> 'a option) -> 'a
+(** [sweep ?pool kernel ~pis ~starts ~decide] is the one
+    panel-evolution loop behind every exact-TV entry point below, the
+    daemon's coalesced groups and the out-of-core path. It evolves the
+    point masses of [starts] under each of the kernel's P planes in
+    lockstep; [pis.(p)] is plane [p]'s stationary distribution.
 
-(** [panel_sweep_kernel] is {!panel_sweep} generalised over the
-    storage layout: the chain is consumed only through a {!Kernel.t},
-    so in-RAM chains ({!Kernel.of_chain}) and out-of-core segmented
-    chains ([Ooc.Segmented_chain.kernel]) drive the identical sweep
-    loop — the segmented path's bit-identity to the in-RAM path
-    reduces to the bit-identity of the two [evolve_many_into]
-    kernels. [panel_sweep ?pool t] is literally
-    [panel_sweep_kernel ?pool (Kernel.of_chain t)]. *)
-val panel_sweep_kernel :
-  ?pool:Exec.Pool.t -> Kernel.t -> float array -> starts:int list ->
-  decide:(step:int -> worst:float -> 'a option) -> 'a
+    After every TV refresh (including step 0, before any evolution)
+    [decide ~plane ~step ~worst] is called, in increasing plane order,
+    for each plane that has not settled, with that plane's
+    worst-over-starts TV distance. Returning [true] settles the plane:
+    it stops evolving, and the sweep returns once every plane has
+    settled. Each step is one {!Kernel.t} advance over the live planes
+    (fused over a shared β-family structure while more than one is
+    live), with no allocation of live-set bookkeeping between settles.
+
+    Per plane, the (step, worst) sequence [decide] observes is
+    bit-identical to a one-plane sweep over that plane alone, for any
+    storage layout and pool size: the batching only amortises matrix
+    and index traffic. [decide] must eventually settle every plane
+    (e.g. on a step bound or a deadline); the loop imposes no budget.
+    Raises [Invalid_argument] if [pis] does not hold one distribution
+    of length [Kernel.size kernel] per plane, or on an empty or
+    out-of-range start set. *)
+val sweep :
+  ?pool:Exec.Pool.t -> Kernel.t -> pis:float array array -> starts:int list ->
+  decide:(plane:int -> step:int -> worst:float -> bool) -> unit
 
 (** [tv_curve ?pool t pi ~starts ~steps] is the array [d(0); d(1); ...;
     d(steps)] of worst-case (over [starts]) TV distances. The starts
@@ -50,9 +50,10 @@ val tv_curve :
   ?pool:Exec.Pool.t -> Chain.t -> float array -> starts:int list -> steps:int ->
   float array
 
-(** [tv_curve_kernel] is {!tv_curve} over a {!Kernel.t} — the
-    out-of-core entry point; [tv_curve ?pool t] delegates here via
-    {!Kernel.of_chain}. *)
+(** [tv_curve_kernel] is {!tv_curve} over a one-plane {!Kernel.t} —
+    the out-of-core entry point; [tv_curve ?pool t] delegates here via
+    {!Kernel.of_chain}. Raises [Invalid_argument] on a multi-plane
+    kernel. *)
 val tv_curve_kernel :
   ?pool:Exec.Pool.t -> Kernel.t -> float array -> starts:int list -> steps:int ->
   float array
@@ -67,9 +68,10 @@ val mixing_time :
   ?pool:Exec.Pool.t -> ?eps:float -> ?max_steps:int -> Chain.t -> float array ->
   starts:int list -> int option
 
-(** [mixing_time_kernel] is {!mixing_time} over a {!Kernel.t} — the
-    out-of-core entry point; [mixing_time ?pool t] delegates here via
-    {!Kernel.of_chain}. *)
+(** [mixing_time_kernel] is {!mixing_time} over a one-plane
+    {!Kernel.t} — the out-of-core entry point; [mixing_time ?pool t]
+    delegates here via {!Kernel.of_chain}. Raises [Invalid_argument] on
+    a multi-plane kernel. *)
 val mixing_time_kernel :
   ?pool:Exec.Pool.t -> ?eps:float -> ?max_steps:int -> Kernel.t -> float array ->
   starts:int list -> int option
@@ -80,38 +82,21 @@ val mixing_time_all :
   ?pool:Exec.Pool.t -> ?eps:float -> ?max_steps:int -> Chain.t -> float array ->
   int option
 
-(** [family_panel_sweep ?pool family ~pis ~starts ~decide] runs one
-    panel sweep per plane of a β-family in lockstep, advancing all
-    still-live planes through the fused multi-plane SpMM
-    ({!Chain.evolve_many_shared_into}) when the family shares its index
-    structure — one traversal of the shared structure per step for the
-    whole β-grid — and through per-plane {!Chain.evolve_many_into}
-    otherwise. After every TV refresh (including step 0)
-    [decide ~plane ~step ~worst] is called for each unsettled plane
-    with that plane's worst-over-starts TV; returning [true] settles
-    the plane (it stops evolving), and the sweep ends when every plane
-    has settled. Per plane, the (step, worst) sequence [decide]
-    observes is bit-identical to a solo {!panel_sweep_kernel} over that
-    plane — the fusion only amortises index traffic. [pis] holds one
-    stationary distribution per plane. [decide] must eventually settle
-    every plane; the loop imposes no budget. Raises [Invalid_argument]
-    on mismatched [pis], an empty or out-of-range start set, or a [pi]
-    of the wrong length. *)
-val family_panel_sweep :
-  ?pool:Exec.Pool.t -> Family.t -> pis:float array array -> starts:int list ->
-  decide:(plane:int -> step:int -> worst:float -> bool) -> unit
-
 (** [family_mixing_times ?pool ?eps ?max_steps family ~pis ~starts] is
     the whole β-grid's mixing times in one fused sweep: element [i] is
     the least t with d(t) ≤ [eps] (default 1/4) for plane [i], or
     [None] past [max_steps] (default [1_000_000]) — each element
-    bit-identical to {!mixing_time_kernel} on that plane alone. *)
+    bit-identical to {!mixing_time_kernel} on that plane alone. It is
+    {!sweep} over {!Family.kernel}. *)
 val family_mixing_times :
   ?pool:Exec.Pool.t -> ?eps:float -> ?max_steps:int -> Family.t ->
   pis:float array array -> starts:int list -> int option array
 
 (** [tv_at t pi ~start ~steps] is ‖Pᵗ(start,·) - π‖_TV at [t = steps]
-    only. Raises [Invalid_argument] on a negative [steps]. *)
+    only: the one-start {!sweep} stopped at [steps], bit-identical to
+    [(tv_curve t pi ~starts:[start] ~steps).(steps)]. Raises
+    [Invalid_argument] on a negative [steps] or an out-of-range
+    [start]. *)
 val tv_at : Chain.t -> float array -> start:int -> steps:int -> float
 
 (** [empirical_tv ?pool rng t pi ~start ~steps ~replicas] estimates the

@@ -16,7 +16,7 @@ val by_power :
     the transition matrix never fully resides in RAM. [by_power
     ?pool t] is literally [by_power_kernel ?pool (Kernel.of_chain
     t)], so both paths share one movement loop and one convergence
-    point. *)
+    point. On a multi-plane kernel it iterates plane 0. *)
 val by_power_kernel :
   ?pool:Exec.Pool.t -> ?tol:float -> ?max_iter:int -> Kernel.t -> float array
 

@@ -104,6 +104,6 @@ let evolve_many_into ?pool t ~k ~(src : Markov.Chain.panel)
     (fun b -> evolve_view_many (Segment.view t.seg b) ~k ~n ~src ~dst)
 
 let kernel t =
-  Markov.Kernel.v ~size:(size t)
+  Markov.Kernel.one_plane ~size:(size t)
     ~evolve_into:(fun ~pool ~src ~dst -> evolve_into ?pool t ~src ~dst)
     ~evolve_many_into:(fun ~pool ~k ~src ~dst -> evolve_many_into ?pool t ~k ~src ~dst)

@@ -41,8 +41,9 @@ val evolve_into : ?pool:Exec.Pool.t -> t -> src:float array -> dst:float array -
 val evolve_many_into :
   ?pool:Exec.Pool.t -> t -> k:int -> src:Markov.Chain.panel -> dst:Markov.Chain.panel -> unit
 
-(** [kernel t] packages the two evolves as a {!Markov.Kernel.t}, the
-    hand-off that lets {!Markov.Mixing.tv_curve_kernel},
+(** [kernel t] packages the two evolves as a one-plane
+    {!Markov.Kernel.t}, the hand-off that lets
+    {!Markov.Mixing.tv_curve_kernel},
     {!Markov.Mixing.mixing_time_kernel} and
     {!Markov.Stationary.by_power_kernel} run unchanged over an
     on-disk chain. *)

@@ -6,8 +6,9 @@
    for the SpMM kernels, and the route policy (spectral vs panel) for
    mixing queries. The CLI's serial answers and the daemon's coalesced
    answers both come out of this module — through the very same
-   Mixing.panel_sweep / mixing_time_from_decomposition primitives — so
-   they agree bit for bit. *)
+   Mixing.sweep / mixing_time_from_decomposition primitives — so they
+   agree bit for bit. Query parameters are validated here once
+   ([check_beta], [check_eps]) for both. *)
 
 module P = Protocol
 
@@ -125,17 +126,29 @@ let build_entry t ~game:game_id ~n ~beta =
             Ok { spec; game; potential; chain; pi; reversible; decomposition = None }
           end)
 
+let check_beta beta =
+  if Float.is_finite beta && beta >= 0. then Ok ()
+  else Error (Printf.sprintf "beta must be finite and >= 0, got %g" beta)
+
+(* Written so that NaN fails too. *)
+let check_eps eps =
+  if eps > 0. && eps < 1. then Ok ()
+  else Error (Printf.sprintf "eps must lie in (0, 1), got %g" eps)
+
 let entry t ~game ~n ~beta =
-  let key = (game, n, Int64.bits_of_float beta) in
-  match Hashtbl.find_opt t.chains key with
-  | Some cached ->
-      t.cache_hits <- t.cache_hits + 1;
-      cached
-  | None ->
-      t.cache_misses <- t.cache_misses + 1;
-      let built = build_entry t ~game ~n ~beta in
-      Hashtbl.replace t.chains key built;
-      built
+  match check_beta beta with
+  | Error _ as invalid -> invalid
+  | Ok () -> (
+      let key = (game, n, Int64.bits_of_float beta) in
+      match Hashtbl.find_opt t.chains key with
+      | Some cached ->
+          t.cache_hits <- t.cache_hits + 1;
+          cached
+      | None ->
+          t.cache_misses <- t.cache_misses + 1;
+          let built = build_entry t ~game ~n ~beta in
+          Hashtbl.replace t.chains key built;
+          built)
 
 let spectral_route t e =
   e.reversible && Games.Game.size e.game <= t.spectral_cutoff
@@ -229,7 +242,7 @@ let eval t (q : P.query) : (P.reply, P.error) result =
   match q with
   | P.Stats -> Error (P.Server_error "Stats is answered by the server, not the engine")
   | P.Mixing { game; n; beta; eps; replicas; seed } -> (
-      match entry t ~game ~n ~beta with
+      match Result.bind (check_eps eps) (fun () -> entry t ~game ~n ~beta) with
       | Error msg -> Error (P.Bad_request msg)
       | Ok e -> Ok (eval_mixing t e ~eps ~replicas ~seed))
   | P.Stationary { game; n; beta } -> (

@@ -5,9 +5,11 @@
     cache, an optional domain pool for the SpMM kernels, and the
     mixing route policy. The CLI's serial paths and the daemon's
     coalescing scheduler both answer through this module — via the
-    same {!Markov.Mixing.panel_sweep} /
+    same {!Markov.Mixing.sweep} /
     {!Markov.Mixing.mixing_time_from_decomposition} primitives — which
-    is what makes coalesced answers bit-identical to serial ones. *)
+    is what makes coalesced answers bit-identical to serial ones. Both
+    validate query parameters through {!check_beta} and {!check_eps},
+    so an invalid value is a [Bad_request] on either path. *)
 
 type t
 
@@ -43,10 +45,17 @@ val pool : t -> Exec.Pool.t option
 (** The panel-route step budget. *)
 val max_steps : t -> int
 
+(** [check_beta beta] is [Ok ()] iff [beta] is finite and [>= 0]. *)
+val check_beta : float -> (unit, string) result
+
+(** [check_eps eps] is [Ok ()] iff [eps] lies in the open interval
+    (0, 1); NaN is rejected. *)
+val check_eps : float -> (unit, string) result
+
 (** [entry t ~game ~n ~beta] builds (or returns the cached) chain
-    entry; [Error] on an unknown game or an oversized state space.
-    Failed builds are cached too — a bad request does not get
-    recomputed per retry. *)
+    entry; [Error] on a [beta] rejected by {!check_beta}, an unknown
+    game or an oversized state space. Failed builds are cached too — a
+    bad request does not get recomputed per retry. *)
 val entry : t -> game:string -> n:int -> beta:float -> (entry, string) result
 
 (** [spectral_route t e] — whether mixing queries on [e] go through
@@ -75,9 +84,10 @@ val empirical_of :
 val mixing_reply_of :
   t -> entry -> tmix:int option -> replicas:int -> seed:int -> Protocol.reply
 
-(** [eval t q] answers a single query serially. [Stats] is not an
-    engine query (the server owns the counters) and returns
-    [Server_error]. *)
+(** [eval t q] answers a single query serially. A mixing query whose
+    eps fails {!check_eps}, or any query whose beta fails
+    {!check_beta}, is a [Bad_request]. [Stats] is not an engine query
+    (the server owns the counters) and returns [Server_error]. *)
 val eval : t -> Protocol.query -> (Protocol.reply, Protocol.error) result
 
 (** (in-memory chain cache hits, misses) *)

@@ -2,16 +2,18 @@
 
     {!run_batch} takes everything the server read in one loop
     iteration and answers it: mixing queries on the same game id and n
-    — across β and across clients — are coalesced. A single-β panel
-    group is settled by {e one} {!Markov.Mixing.panel_sweep}; a group
-    spanning several β builds {e one} {!Markov.Family} from the
-    entries' chains and settles every plane through the fused
-    multi-plane sweep ({!Markov.Mixing.family_panel_sweep}), one
-    traversal of the shared index structure per step for the whole
-    β-grid. Each request retires at its own eps either way; reversible
-    small chains share their entry's cached eigendecomposition per β
-    instead. All other queries are evaluated serially in arrival
-    order.
+    — across β and across clients — are coalesced into {e one}
+    {!Markov.Mixing.sweep} with one kernel plane per β. A single β
+    sweeps its chain ({!Markov.Kernel.of_chain}); several β build one
+    {!Markov.Family} from the entries' chains and advance through the
+    fused multi-plane SpMM ({!Markov.Family.kernel}), one traversal of
+    the shared index structure per step for the whole β-grid. Each
+    request retires at its own eps either way; reversible small chains
+    share their entry's cached eigendecomposition per β instead. All
+    other queries are evaluated serially in arrival order. A mixing
+    query with an eps outside (0, 1) or a β that is not finite and
+    non-negative is answered [Bad_request] without touching the other
+    requests.
 
     Answers are bit-identical to per-request serial evaluation — both
     paths run the same primitives over the same floats. Deadlines are

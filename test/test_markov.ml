@@ -422,6 +422,36 @@ let mixing_two_state_exact () =
   check_array ~tol:1e-12 "curve" [| 0.5; 0.25; 0.125; 0.0625; 0.03125 |] curve;
   check_float ~tol:1e-12 "tv_at" 0.125 (Mixing.tv_at c pi ~start:0 ~steps:2)
 
+(* [tv_at] is the one-start, fixed-horizon case of the panel sweep:
+   its value must be the bits [tv_curve] reports at the same step, for
+   any start and horizon, across the game zoo. *)
+let tv_at_zoo =
+  [|
+    (fun seed -> fst (random_potential_game ~players:3 ~strategies:2 seed));
+    (fun seed -> Games.Zoo.random_game (rng ~seed ()) ~players:2 ~strategies:3);
+    (fun _ -> Games.Zoo.pure_coordination ~players:3 ~strategies:2);
+    (fun _ -> Games.Zoo.matching_pennies);
+    (fun _ -> Games.Zoo.rock_paper_scissors);
+    (fun _ -> Games.Zoo.battle_of_sexes);
+    (fun _ -> Games.Zoo.iterated_dominance_game);
+  |]
+
+let mixing_tv_at_matches_curve =
+  QCheck.Test.make ~name:"tv_at = tv_curve at the same step (bits, game zoo)"
+    ~count:60
+    QCheck.(
+      quad (int_bound (Array.length tv_at_zoo - 1)) (int_bound 1_000_000)
+        (int_range 0 64) (int_bound 1_000))
+    (fun (g, seed, steps, start_pick) ->
+      let game = tv_at_zoo.(g) seed in
+      let beta = 0.25 +. float_of_int (seed mod 8) *. 0.5 in
+      let chain = Logit.Logit_dynamics.chain game ~beta in
+      let pi = Stationary.by_solve chain in
+      let start = start_pick mod Chain.size chain in
+      let curve = Mixing.tv_curve chain pi ~starts:[ start ] ~steps in
+      Int64.bits_of_float (Mixing.tv_at chain pi ~start ~steps)
+      = Int64.bits_of_float curve.(steps))
+
 let mixing_monotone =
   QCheck.Test.make ~name:"d(t) is non-increasing" ~count:20
     QCheck.(int_bound 1_000_000)
@@ -1058,6 +1088,7 @@ let suites =
         test "squaring at extreme beta" mixing_squaring_extreme_beta;
         test "squaring size guard" mixing_squaring_size_guard;
         qcheck mixing_monotone;
+        qcheck mixing_tv_at_matches_curve;
         qcheck mixing_spectral_matches_evolution;
         qcheck mixing_squaring_matches_evolution;
       ] );

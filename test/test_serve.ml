@@ -308,6 +308,126 @@ let spectral_group_identity () =
   check "no panel steps spent" true (stats.Serve.Scheduler.panel_steps = 0);
   check "bit-identical to serial" true (outcomes = reference)
 
+(* A cross-β batch: three β planes of one (game, n) — two eps on one
+   of them — settle in one fused family sweep, next to an unrelated
+   key that gets its own one-plane sweep. Every reply must be the
+   bytes per-request evaluation produces, and the step counter must
+   charge each group its deepest plane's settle step, not the sum over
+   planes. *)
+let cross_beta_queries =
+  [
+    P.Mixing { game = "ring"; n = 6; beta = 0.5; eps = 0.25; replicas = 0; seed = 1 };
+    P.Mixing { game = "ring"; n = 6; beta = 1.0; eps = 0.25; replicas = 0; seed = 1 };
+    P.Mixing { game = "clique"; n = 4; beta = 1.0; eps = 0.2; replicas = 0; seed = 1 };
+    P.Mixing { game = "ring"; n = 6; beta = 2.0; eps = 0.25; replicas = 0; seed = 1 };
+    P.Mixing { game = "ring"; n = 6; beta = 1.0; eps = 0.05; replicas = 3; seed = 7 };
+  ]
+
+let frame_of i result = P.encode_response { P.req_id = i; result }
+
+let tmix_of = function
+  | Ok (P.Mixing_r { P.tmix = Some t; _ }) -> t
+  | _ -> Alcotest.fail "expected a settled mixing reply"
+
+let cross_beta_family_batch () =
+  let reference = serial_outcomes cross_beta_queries in
+  let ring, other =
+    List.partition
+      (fun (q, _) -> match q with P.Mixing { game = "ring"; _ } -> true | _ -> false)
+      (List.combine cross_beta_queries reference)
+  in
+  let expected_steps =
+    List.fold_left (fun acc (_, r) -> Int.max acc (tmix_of r)) 0 ring
+    + List.fold_left (fun acc (_, r) -> acc + tmix_of r) 0 other
+  in
+  List.iter
+    (fun domains ->
+      let run pool =
+        let engine = Serve.Engine.create ?pool ~spectral_cutoff:0 () in
+        let stats = Serve.Scheduler.stats_zero () in
+        let outcomes =
+          Serve.Scheduler.run_batch engine stats (jobs_of cross_beta_queries)
+          |> List.map snd
+        in
+        List.iteri
+          (fun i (got, want) ->
+            check
+              (Printf.sprintf "reply %d bytes = serial (pool=%d)" i domains)
+              true
+              (String.equal (frame_of i got) (frame_of i want)))
+          (List.combine outcomes reference);
+        check
+          (Printf.sprintf "panel_steps = deepest plane per group (pool=%d)" domains)
+          true
+          (stats.Serve.Scheduler.panel_steps = expected_steps)
+      in
+      if domains <= 1 then run None
+      else Exec.Pool.with_pool ~domains (fun pool -> run (Some pool)))
+    [ 1; 2; 4 ]
+
+(* Query parameters are validated once, in the engine, for the serial
+   and the coalesced path alike: a β that is not finite and
+   non-negative, or an eps outside (0, 1), is a typed Bad_request —
+   never an escaping exception, a vacuous t_mix(2) = 0, or a sweep
+   that runs to the step budget. *)
+let bad_betas = [ Float.nan; Float.infinity; Float.neg_infinity; -2. ]
+let bad_eps = [ 0.; -1.; 1.; 2.; Float.nan ]
+
+let is_bad_request = function Error (P.Bad_request _) -> true | _ -> false
+
+let mixing_q ?(game = "ring") ?(n = 6) ?(eps = 0.25) beta =
+  P.Mixing { game; n; beta; eps; replicas = 0; seed = 1 }
+
+let engine_rejects_bad_params () =
+  check "beta 0 accepted" true (Result.is_ok (Serve.Engine.check_beta 0.));
+  check "eps 0.999 accepted" true (Result.is_ok (Serve.Engine.check_eps 0.999));
+  let engine = Serve.Engine.create ~spectral_cutoff:0 () in
+  List.iter
+    (fun beta ->
+      let name = Printf.sprintf "beta %g" beta in
+      check (name ^ ": check_beta") true (Result.is_error (Serve.Engine.check_beta beta));
+      check (name ^ ": entry") true
+        (Result.is_error (Serve.Engine.entry engine ~game:"ring" ~n:4 ~beta));
+      List.iter
+        (fun q -> check (name ^ ": eval") true (is_bad_request (Serve.Engine.eval engine q)))
+        [
+          mixing_q ~n:4 beta;
+          P.Stationary { game = "ring"; n = 4; beta };
+          P.Hitting { game = "ring"; n = 4; beta };
+        ])
+    bad_betas;
+  List.iter
+    (fun eps ->
+      let name = Printf.sprintf "eps %g" eps in
+      check (name ^ ": check_eps") true (Result.is_error (Serve.Engine.check_eps eps));
+      check (name ^ ": eval") true
+        (is_bad_request (Serve.Engine.eval engine (mixing_q ~n:4 ~eps 1.0))))
+    bad_eps;
+  check "a good query still evaluates" true
+    (Result.is_ok (Serve.Engine.eval engine (mixing_q ~n:4 1.0)))
+
+(* One batch: every bad β and bad eps, interleaved with good queries on
+   the same (game, n) key — so the bad ones sit in the very groups that
+   the cross-β sweep settles. Each bad query gets its own Bad_request;
+   every good one is still the serial answer. *)
+let batch_isolates_bad_params () =
+  let good = [ mixing_q 1.0; mixing_q ~eps:0.1 0.5; mixing_q ~game:"clique" ~n:4 1.0 ] in
+  let bad = List.map mixing_q bad_betas @ List.map (fun eps -> mixing_q ~eps 1.0) bad_eps in
+  let queries = List.concat_map (fun b -> [ b; List.hd good ]) bad @ good in
+  let reference = serial_outcomes queries in
+  let engine = Serve.Engine.create ~spectral_cutoff:0 () in
+  let outcomes =
+    Serve.Scheduler.run_batch engine (Serve.Scheduler.stats_zero ()) (jobs_of queries)
+    |> List.map snd
+  in
+  List.iteri
+    (fun i (q, (got, want)) ->
+      let bad_q = List.mem q bad in
+      check (Printf.sprintf "query %d typed as serial" i) true
+        (if bad_q then is_bad_request got && is_bad_request want
+         else Result.is_ok got && got = want))
+    (List.combine queries (List.combine outcomes reference))
+
 (* --- Server (socket level) ----------------------------------------------- *)
 
 let socket_counter = ref 0
@@ -446,6 +566,53 @@ let corrupt_bytes_get_bad_request () =
   | Ok _ -> Alcotest.fail "expected an id-0 Bad_request"
   | Error msg -> Alcotest.failf "undecodable response: %s" msg
 
+(* A bad query must cost the daemon one typed reply, not its life: a
+   later query on the same connection is still answered, and the
+   counters see both. *)
+let server_survives_bad_params () =
+  with_server ~spectral_cutoff:0 @@ fun ~socket_path _server ->
+  let ask q =
+    match Serve.Client.query ~socket_path q with
+    | Ok r -> r
+    | Error msg -> Alcotest.failf "transport error (server down?): %s" msg
+  in
+  List.iter
+    (fun q -> check "bad query gets Bad_request" true (is_bad_request (ask q)))
+    [ mixing_q Float.nan; mixing_q Float.infinity; mixing_q (-2.);
+      mixing_q ~eps:0. 1.0; mixing_q ~eps:2. 1.0 ];
+  check "a later query is still answered" true
+    (ask (mixing_q 1.0) = List.hd (serial_outcomes [ mixing_q 1.0 ]));
+  match ask P.Stats with
+  | Ok (P.Stats_r st) ->
+      check "stats counts both kinds" true (st.P.served = 1 && st.P.failed = 5)
+  | _ -> Alcotest.fail "stats not served"
+
+(* The CLI's mixing routes — single β, the --betas grid, and the
+   out-of-core path that calls Mixing.mixing_time_kernel directly —
+   all exit 2 on the same invalid parameters. *)
+let logitdyn_exe =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat Filename.parent_dir_name "bin/logitdyn.exe")
+
+let cli_exits_2_on_bad_params () =
+  let seg = Filename.temp_file "logitdyn-test" ".seg" in
+  Sys.remove seg;
+  List.iter
+    (fun args ->
+      let cmd =
+        Printf.sprintf "%s mixing ring -n 4 --no-cache %s > %s 2>&1"
+          (Filename.quote logitdyn_exe) args Filename.null
+      in
+      check (Printf.sprintf "`mixing %s` exits 2" args) true (Sys.command cmd = 2))
+    [
+      "--beta nan"; "--beta inf"; "--beta=-2"; "--eps 0"; "--eps 2"; "--eps=-1";
+      "--betas 0.5:1.0:0.5 --eps 0"; "--betas 0.5:1.0:0.5 --eps 2";
+      "--ooc --beta nan"; "--ooc --eps 0"; "--ooc --eps 2";
+      "--segment " ^ Filename.quote seg ^ " --eps 2";
+    ];
+  check "no segment packed for a rejected query" false (Sys.file_exists seg)
+
 let suites =
   [
     ( "serve.cli-flags",
@@ -472,6 +639,12 @@ let suites =
         Alcotest.test_case "expired deadline is typed" `Quick
           dead_on_arrival_deadline;
         Alcotest.test_case "spectral group = serial" `Quick spectral_group_identity;
+        Alcotest.test_case "cross-beta family batch = serial (pools 1/2/4)" `Quick
+          cross_beta_family_batch;
+        Alcotest.test_case "engine rejects bad beta and eps" `Quick
+          engine_rejects_bad_params;
+        Alcotest.test_case "bad params isolated within a batch" `Quick
+          batch_isolates_bad_params;
       ] );
     ( "serve.server",
       [
@@ -481,5 +654,12 @@ let suites =
           drain_answers_in_flight;
         Alcotest.test_case "corrupt bytes get Bad_request" `Quick
           corrupt_bytes_get_bad_request;
+        Alcotest.test_case "survives bad beta and eps" `Quick
+          server_survives_bad_params;
+      ] );
+    ( "serve.cli",
+      [
+        Alcotest.test_case "mixing exits 2 on bad beta and eps" `Quick
+          cli_exits_2_on_bad_params;
       ] );
   ]
