@@ -23,14 +23,13 @@
    alive in the [Baseline] module below and raced against the CSR
    kernels on an evolve-dominated workload (mixing_time_all) and a
    sample_step-dominated one (empirical_tv). Outputs are checked
-   bit-identical and the timings are written to BENCH_csr.json so the
-   perf trajectory is tracked from PR 2 onward.
+   bit-identical; the verdict is each record's correctness bit.
 
    Phase 1.7 is the artifact-store ablation: the `logitdyn mixing`
    artifact pipeline (chain, stationary law, TV curve) is run cold and
    then warm against a fresh store, the decoded artifacts are checked
    bit-identical to the computed ones, and a killed-mid-grid sweep is
-   resumed through Sweep.map_cached. Timings land in BENCH_store.json.
+   resumed through Sweep.map_cached.
 
    Phase 1.8 is the kernel-mode ablation for distribution evolution:
    the PR 2 serial push (scatter) loop over all starts is raced against
@@ -39,15 +38,15 @@
    [Chain.evolve_many_into] that advances all starts in one matrix
    traversal, serial and pooled. All arms are gated on bit-identical
    outputs (same t_mix, same TV curve, evolve checked on random
-   vectors); timings land in BENCH_spmm.json.
+   vectors).
 
    Phase 1.9 is the daemon load bench: a logitdynd server is spun up
    on a private socket and (a) 8 clients race one same-chain mixing
    request each — answered serially vs through the server's coalesced
    panel sweep, gated on bit-identical replies — and (b) an open-loop
    sender offers requests at a fixed rate regardless of completions
-   and the p50/p99 response latencies and achieved throughput land in
-   BENCH_serve.json.
+   and the p50/p99 response latencies and achieved throughput are
+   measured.
 
    Phase 1.10 is the out-of-core segment ablation: a lazy cycle walk
    is packed into an on-disk segment (10^7 states in the full profile
@@ -55,7 +54,11 @@
    is run over the streaming kernels, mmap'd serial and pooled and in
    bounded-buffer stream mode with the peak RSS sampled. All arms are
    gated on bit-identity against the in-RAM SpMM kernels at overlap
-   sizes; timings land in BENCH_ooc.json.
+   sizes.
+
+   Every ablation phase appends its timings, as provenance-stamped
+   trajectory records, to BENCH_HISTORY.json — the harness's only
+   artifact.
 
    Pass --quick to shrink the experiment sweeps; pass --skip-micro to
    print only the tables; pass --csr-only, --store-only, --spmm-only,
@@ -74,18 +77,30 @@ let serve_only = Array.exists (( = ) "--serve-only") Sys.argv
 let ooc_only = Array.exists (( = ) "--ooc-only") Sys.argv
 let family_only = Array.exists (( = ) "--family-only") Sys.argv
 
-(* Every ablation snapshot leaves through the bench sink, which owns
-   the BENCH filenames: it writes the legacy snapshot atomically and
-   appends the migrated, provenance-stamped records to the
-   BENCH_HISTORY.json trajectory in one step. A snapshot the sink
-   cannot migrate is a bug in the writer above — fail the run. *)
-let record_snapshot ~label ~legacy_path json =
-  match Bench.Sink.record_run ~legacy_path json with
+(* One trajectory record of the running phase, in this run's profile.
+   Serial arms are the default ([jobs = 1]); [speedup] is against the
+   phase's reference arm. *)
+let record ?peak_rss_kb ?(jobs = 1) ~bench ~workload ~arm ~seconds ~speedup
+    ~correct () =
+  Bench.Record.v ?peak_rss_kb ~bench ~workload ~arm ~seconds ~speedup ~correct
+    ~quick ~jobs ()
+
+(* Every ablation phase reports here: its records are stamped with
+   provenance and appended to the BENCH_HISTORY.json trajectory in one
+   step. A record that fails validation is a bug in the phase — fail
+   the run, appending nothing. *)
+let record_phase ~label records =
+  let rec collect acc = function
+    | [] -> Ok (List.rev acc)
+    | Ok r :: rest -> collect (r :: acc) rest
+    | (Error _ as e) :: _ -> e
+  in
+  match Result.bind (collect [] records) Bench.History.append_run with
   | Ok records ->
-      Printf.printf "%s recorded to %s (+%d trajectory records in %s)\n" label
-        legacy_path (List.length records) Bench.History.default_path
+      Printf.printf "%s: +%d trajectory records in %s\n" label
+        (List.length records) Bench.History.default_path
   | Error msg ->
-      Printf.eprintf "FATAL: %s snapshot rejected by the bench sink: %s\n"
+      Printf.eprintf "FATAL: %s records rejected by the bench trajectory: %s\n"
         label msg;
       exit 1
 
@@ -540,36 +555,18 @@ let run_csr_ablation () =
   Experiments.Table.print table;
   if not evolve_identical then
     Printf.printf "WARNING: CSR evolve diverged from the pre-CSR kernel!\n";
-  let json_path = Filename.concat (Sys.getcwd ()) Bench.Sink.csr_path in
-  let json =
-    Printf.sprintf
-      {|{
-  "bench": "csr_ablation",
-  "quick": %b,
-  "game": { "kind": "ring_coordination", "n": %d, "states": %d, "beta": %g },
-  "evolve_bit_identical": %b,
-  "workloads": [
-    { "name": "tv_curve", "kind": "evolve", "steps": %d,
-      "pre_csr_s": %.6f, "csr_s": %.6f, "speedup": %.3f, "agree": %b },
-    { "name": "mixing_time_all", "kind": "evolve", "t_mix": %s,
-      "pre_csr_s": %.6f, "csr_s": %.6f, "speedup": %.3f, "agree": %b },
-    { "name": "empirical_tv", "kind": "sample_step", "steps": %d, "replicas": %d,
-      "pre_csr_s": %.6f, "csr_s": %.6f, "speedup": %.3f, "agree": %b }
-  ]
-}
-|}
-      quick n_ring size beta evolve_identical tv_steps t_curve_base t_curve_csr
-      (t_curve_base /. t_curve_csr)
-      curve_identical
-      (match tmix_csr with Some t -> string_of_int t | None -> "null")
-      t_mix_base t_mix_csr
-      (t_mix_base /. t_mix_csr)
-      (tmix_base = tmix_csr)
-      emp_steps emp_replicas t_emp_base t_emp_csr
-      (t_emp_base /. t_emp_csr)
-      (emp_base = emp_csr)
+  let r = record ~bench:"csr_ablation" in
+  let pair workload t_base t_csr correct =
+    [
+      r ~workload ~arm:"pre_csr" ~seconds:t_base ~speedup:1.0 ~correct ();
+      r ~workload ~arm:"csr" ~seconds:t_csr ~speedup:(t_base /. t_csr) ~correct
+        ();
+    ]
   in
-  record_snapshot ~label:"CSR ablation" ~legacy_path:json_path json
+  record_phase ~label:"CSR ablation"
+    (pair "tv_curve" t_curve_base t_curve_csr curve_identical
+    @ pair "mixing_time_all" t_mix_base t_mix_csr (tmix_base = tmix_csr)
+    @ pair "empirical_tv" t_emp_base t_emp_csr (emp_base = emp_csr))
 
 (* --- Phase 1.8: push vs pull vs SpMM kernel ablation -------------------- *)
 
@@ -779,52 +776,30 @@ let run_spmm_ablation () =
   Experiments.Table.print table;
   if not evolve_identical then
     Printf.printf "WARNING: pull evolve diverged from the push kernel!\n";
-  let json_path = Filename.concat (Sys.getcwd ()) Bench.Sink.spmm_path in
-  let tmix_str =
-    match tmix_push with Some t -> string_of_int t | None -> "null"
-  in
-  let json =
-    Printf.sprintf
-      {|{
-  "bench": "spmm_ablation",
-  "quick": %b,
-  "jobs": %d,
-  "game": { "kind": "ring_coordination", "n": %d, "states": %d, "beta": %g },
-  "evolve_bit_identical": %b,
-  "t_mix": %s,
-  "workloads": [
-    { "name": "mixing_time_all", "arm": "serial_push", "seconds": %.6f,
-      "speedup": 1.0, "bit_identical": true },
-    { "name": "mixing_time_all", "arm": "pooled_pull", "seconds": %.6f,
-      "speedup": %.3f, "bit_identical": %b },
-    { "name": "mixing_time_all", "arm": "spmm_serial", "seconds": %.6f,
-      "speedup": %.3f, "bit_identical": %b },
-    { "name": "mixing_time_all", "arm": "spmm_pooled", "seconds": %.6f,
-      "speedup": %.3f, "bit_identical": %b }
-  ],
-  "tv_curve": { "steps": %d, "push_s": %.6f, "spmm_s": %.6f, "speedup": %.3f,
-    "bit_identical": %b },
-  "by_power": { "serial_s": %.6f, "pooled_s": %.6f, "speedup": %.3f,
-    "bit_identical": %b }
-}
-|}
-      quick jobs n_ring size beta evolve_identical tmix_str t_push t_pull
-      (t_push /. t_pull)
-      (tmix_pull = tmix_push)
-      t_spmm
-      (t_push /. t_spmm)
-      (tmix_spmm = tmix_push)
-      t_spmm_pool
-      (t_push /. t_spmm_pool)
-      (tmix_spmm_pool = tmix_push)
-      tv_steps t_curve_push t_curve_spmm
-      (t_curve_push /. t_curve_spmm)
-      (curve_push = curve_spmm)
-      t_power_serial t_power_pooled
-      (t_power_serial /. t_power_pooled)
-      (power_serial = power_pooled)
-  in
-  record_snapshot ~label:"SpMM ablation" ~legacy_path:json_path json
+  let r = record ~bench:"spmm_ablation" in
+  let tv_correct = curve_push = curve_spmm in
+  let bp_correct = power_serial = power_pooled in
+  record_phase ~label:"SpMM ablation"
+    [
+      r ~workload:"mixing_time_all" ~arm:"serial_push" ~seconds:t_push
+        ~speedup:1.0 ~correct:true ();
+      r ~workload:"mixing_time_all" ~arm:"pooled_pull" ~seconds:t_pull
+        ~speedup:(t_push /. t_pull) ~correct:(tmix_pull = tmix_push) ~jobs ();
+      r ~workload:"mixing_time_all" ~arm:"spmm_serial" ~seconds:t_spmm
+        ~speedup:(t_push /. t_spmm) ~correct:(tmix_spmm = tmix_push) ();
+      r ~workload:"mixing_time_all" ~arm:"spmm_pooled" ~seconds:t_spmm_pool
+        ~speedup:(t_push /. t_spmm_pool)
+        ~correct:(tmix_spmm_pool = tmix_push) ~jobs ();
+      r ~workload:"tv_curve" ~arm:"serial_push" ~seconds:t_curve_push
+        ~speedup:1.0 ~correct:tv_correct ();
+      r ~workload:"tv_curve" ~arm:"spmm" ~seconds:t_curve_spmm
+        ~speedup:(t_curve_push /. t_curve_spmm) ~correct:tv_correct ();
+      r ~workload:"by_power" ~arm:"serial" ~seconds:t_power_serial ~speedup:1.0
+        ~correct:bp_correct ();
+      r ~workload:"by_power" ~arm:"pooled" ~seconds:t_power_pooled
+        ~speedup:(t_power_serial /. t_power_pooled) ~correct:bp_correct ~jobs
+        ();
+    ]
 
 (* --- Phase 1.7: artifact store ablation -------------------------------- *)
 
@@ -966,24 +941,15 @@ let run_store_ablation () =
         artifacts bit-identical to the computed ones."
        cold.Store.Cas.misses cold.Store.Cas.writes warm_hits);
   Experiments.Table.print table;
-  let json_path = Filename.concat (Sys.getcwd ()) Bench.Sink.store_path in
-  let json =
-    Printf.sprintf
-      {|{
-  "bench": "store_ablation",
-  "quick": %b,
-  "game": { "kind": "ring_coordination", "n": %d, "states": %d, "beta": %g },
-  "pipeline": { "cold_s": %.6f, "warm_s": %.6f, "speedup": %.3f,
-    "cold_misses": %d, "cold_writes": %d, "warm_hits": %d },
-  "identical": { "chain": %b, "stationary": %b, "tv_curve": %b },
-  "resume": { "grid": 12, "prefiled": 5, "recomputed": %d, "ok": %b }
-}
-|}
-      quick n_ring size beta t_cold t_warm (t_cold /. t_warm)
-      cold.Store.Cas.misses cold.Store.Cas.writes warm_hits chain_identical
-      pi_identical curve_identical recomputed resume_ok
-  in
-  record_snapshot ~label:"store ablation" ~legacy_path:json_path json;
+  (* The resume check counts recomputations, not time: it has no
+     trajectory record. *)
+  let r = record ~bench:"store_ablation" ~workload:"pipeline" in
+  let correct = chain_identical && pi_identical && curve_identical in
+  record_phase ~label:"store ablation"
+    [
+      r ~arm:"cold" ~seconds:t_cold ~speedup:1.0 ~correct ();
+      r ~arm:"warm" ~seconds:t_warm ~speedup:(t_cold /. t_warm) ~correct ();
+    ];
   ignore (Store.Cas.clear cas)
 
 (* --- Phase 1.9: daemon load bench ------------------------------------ *)
@@ -1170,26 +1136,20 @@ let run_serve_ablation () =
         daemon replies bit-identical to serial engine evals."
        co_stats.SP.batches co_stats.SP.max_batch co_stats.SP.panel_steps);
   Experiments.Table.print table;
-  let json_path = Filename.concat (Sys.getcwd ()) Bench.Sink.serve_path in
-  let json =
-    Printf.sprintf
-      {|{
-  "bench": "serve_ablation",
-  "quick": %b,
-  "game": { "kind": "ring_coordination", "n": %d, "states": %d, "beta": %g },
-  "coalescing": { "clients": %d, "serial_s": %.6f, "coalesced_s": %.6f,
-    "speedup": %.3f, "batches": %d, "max_batch": %d, "panel_steps": %d,
-    "bit_identical": %b },
-  "open_loop": { "requests": %d, "offered_rps": %.1f, "achieved_rps": %.1f,
-    "p50_ms": %.3f, "p99_ms": %.3f, "errors": %d }
-}
-|}
-      quick n_ring size beta clients serial_s coalesced_s
-      (serial_s /. coalesced_s)
-      co_stats.SP.batches co_stats.SP.max_batch co_stats.SP.panel_steps
-      bit_identical requests offered_rps achieved_rps p50 p99 !failures
-  in
-  record_snapshot ~label:"daemon ablation" ~legacy_path:json_path json
+  (* Open-loop latencies are tracked as seconds, so the regression gate
+     bounds p50/p99 drift like any other arm. *)
+  let r = record ~bench:"serve_ablation" ~correct:bit_identical in
+  record_phase ~label:"daemon ablation"
+    [
+      r ~workload:"coalescing_x8" ~arm:"serial" ~seconds:serial_s ~speedup:1.0
+        ();
+      r ~workload:"coalescing_x8" ~arm:"coalesced" ~seconds:coalesced_s
+        ~speedup:(serial_s /. coalesced_s) ();
+      r ~workload:"open_loop" ~arm:"p50_latency" ~seconds:(p50 /. 1000.)
+        ~speedup:1.0 ();
+      r ~workload:"open_loop" ~arm:"p99_latency" ~seconds:(p99 /. 1000.)
+        ~speedup:1.0 ();
+    ]
 
 (* --- Phase 1.10: out-of-core segment ablation --------------------------- *)
 
@@ -1365,38 +1325,19 @@ let run_ooc_ablation () =
        (if overlap_ok then "yes" else "NO")
        (if fixpoint_ok then "yes" else "NO"));
   Experiments.Table.print table;
-  let json_path = Filename.concat (Sys.getcwd ()) Bench.Sink.ooc_path in
-  let rss_json = function
-    | Some kb -> string_of_int kb
-    | None -> "null"
-  in
-  let json =
-    Printf.sprintf
-      {|{
-  "bench": "ooc_ablation",
-  "quick": %b,
-  "jobs": %d,
-  "chain": { "kind": "lazy_cycle_walk", "states": %d, "nnz": %d,
-    "blocks": %d, "file_bytes": %d },
-  "equivalent": %b,
-  "workloads": [
-    { "name": "pack", "arm": "stream_build", "seconds": %.6f,
-      "speedup": 1.0, "jobs": 1 },
-    { "name": "tv_curve", "arm": "mmap_serial", "seconds": %.6f,
-      "speedup": 1.0, "jobs": 1, "peak_rss_kb": %s },
-    { "name": "tv_curve", "arm": "mmap_pooled", "seconds": %.6f,
-      "speedup": %.3f, "jobs": %d },
-    { "name": "tv_curve", "arm": "stream_serial", "seconds": %.6f,
-      "speedup": %.3f, "jobs": 1, "peak_rss_kb": %s }
-  ]
-}
-|}
-      quick jobs info.Ooc.Segment.b_n info.Ooc.Segment.b_nnz
-      info.Ooc.Segment.b_blocks info.Ooc.Segment.b_bytes equivalent t_pack
-      t_mmap (rss_json rss_mmap) t_pool (t_mmap /. t_pool) jobs t_stream
-      (t_mmap /. t_stream) (rss_json rss_stream)
-  in
-  record_snapshot ~label:"out-of-core ablation" ~legacy_path:json_path json
+  (* The stream arm's memory-bound claim rides the trajectory via
+     [peak_rss_kb]; every arm shares the equivalence bit. *)
+  let r = record ~bench:"ooc_ablation" ~correct:equivalent in
+  record_phase ~label:"out-of-core ablation"
+    [
+      r ~workload:"pack" ~arm:"stream_build" ~seconds:t_pack ~speedup:1.0 ();
+      r ?peak_rss_kb:rss_mmap ~workload:"tv_curve" ~arm:"mmap_serial"
+        ~seconds:t_mmap ~speedup:1.0 ();
+      r ~workload:"tv_curve" ~arm:"mmap_pooled" ~seconds:t_pool
+        ~speedup:(t_mmap /. t_pool) ~jobs ();
+      r ?peak_rss_kb:rss_stream ~workload:"tv_curve" ~arm:"stream_serial"
+        ~seconds:t_stream ~speedup:(t_mmap /. t_stream) ();
+    ]
 
 (* --- Phase 1.11: β-family ablation ------------------------------------- *)
 
@@ -1407,7 +1348,7 @@ let run_ooc_ablation () =
    advancement — the fused shared-structure SpMM vs per-plane
    evolve_many_into; (c) the structure-once family store layout, cold
    vs warm. Every arm is gated on bit-identity against its per-β
-   counterpart; timings land in BENCH_family.json. *)
+   counterpart. *)
 let run_family_ablation () =
   (* The paper's Section 5 clique coordination game: every player's
      utility sums over n-1 neighbours, so the per-state utility
@@ -1622,47 +1563,22 @@ let run_family_ablation () =
   Experiments.Table.print table;
   if not (sweep_identical && build_identical && panels_identical && store_identical)
   then Printf.printf "WARNING: a family arm diverged from its per-beta build!\n";
-  let json_path = Filename.concat (Sys.getcwd ()) Bench.Sink.family_path in
-  let json =
-    Printf.sprintf
-      {|{
-  "bench": "family_ablation",
-  "quick": %b,
-  "jobs": %d,
-  "grid_points": %d,
-  "game": { "kind": "clique_coordination", "n": %d, "states": %d },
-  "shared_structure": %b,
-  "workloads": [
-    { "name": "beta_grid_sweep", "arm": "per_point", "seconds": %.6f,
-      "speedup": 1.0, "jobs": %d, "bit_identical": true },
-    { "name": "beta_grid_sweep", "arm": "family", "seconds": %.6f,
-      "speedup": %.3f, "jobs": %d, "bit_identical": %b },
-    { "name": "beta_grid_build", "arm": "per_point", "seconds": %.6f,
-      "speedup": 1.0, "jobs": %d, "bit_identical": true },
-    { "name": "beta_grid_build", "arm": "family", "seconds": %.6f,
-      "speedup": %.3f, "jobs": %d, "bit_identical": %b },
-    { "name": "panel_sweep", "arm": "sequential", "seconds": %.6f,
-      "speedup": 1.0, "jobs": %d, "bit_identical": true },
-    { "name": "panel_sweep", "arm": "fused", "seconds": %.6f,
-      "speedup": %.3f, "jobs": %d, "bit_identical": %b },
-    { "name": "family_store", "arm": "cold", "seconds": %.6f,
-      "speedup": 1.0, "jobs": %d, "bit_identical": true },
-    { "name": "family_store", "arm": "warm", "seconds": %.6f,
-      "speedup": %.3f, "jobs": %d, "bit_identical": %b }
-  ]
-}
-|}
-      quick jobs grid_points n_players size
-      (Markov.Family.shared_structure family)
-      t_pp_sweep jobs t_fam_sweep
-      (t_pp_sweep /. t_fam_sweep)
-      jobs sweep_identical t_per_point jobs t_family
-      (t_per_point /. t_family)
-      jobs build_identical t_seq jobs t_fused (t_seq /. t_fused) jobs
-      panels_identical t_cold jobs t_warm (t_cold /. t_warm) jobs
-      store_identical
+  let pair workload ~reference ~arm t_ref t_arm correct =
+    let r = record ~bench:"family_ablation" ~workload ~jobs in
+    [
+      r ~arm:reference ~seconds:t_ref ~speedup:1.0 ~correct:true ();
+      r ~arm ~seconds:t_arm ~speedup:(t_ref /. t_arm) ~correct ();
+    ]
   in
-  record_snapshot ~label:"beta-family ablation" ~legacy_path:json_path json
+  record_phase ~label:"beta-family ablation"
+    (pair "beta_grid_sweep" ~reference:"per_point" ~arm:"family" t_pp_sweep
+       t_fam_sweep sweep_identical
+    @ pair "beta_grid_build" ~reference:"per_point" ~arm:"family" t_per_point
+        t_family build_identical
+    @ pair "panel_sweep" ~reference:"sequential" ~arm:"fused" t_seq t_fused
+        panels_identical
+    @ pair "family_store" ~reference:"cold" ~arm:"warm" t_cold t_warm
+        store_identical)
 
 let run_micro () =
   let instances = Instance.[ monotonic_clock ] in

@@ -13,7 +13,7 @@
      sample      exact stationary samples via coupling from the past
      chain       pack/inspect out-of-core chain segments
      store       inspect/maintain the on-disk artifact store
-     bench       performance trajectory (history, regression gate, ingest)
+     bench       performance trajectory (history, regression gate)
 
    The chain-building subcommands (mixing, spectrum, hitting,
    experiment) memoise their heavy artifacts — chains, stationary
@@ -79,6 +79,19 @@ let entry_or_exit engine ~game ~n ~beta =
       Printf.eprintf "%s\n" msg;
       exit 2
 
+(* [params_or_exit result] is for the routes that bypass Engine.eval
+   and so run the engine's parameter checks themselves: a rejected
+   parameter exits 2 with the message, before anything is printed. *)
+let params_or_exit = function
+  | Ok () -> ()
+  | Error msg ->
+      Printf.eprintf "%s\n" msg;
+      exit 2
+
+let at_least ~what ~min v =
+  if v >= min then Ok ()
+  else Error (Printf.sprintf "%s must be >= %d, got %d" what min v)
+
 let print_query_error err =
   (match err with
   | P.Overloaded -> Printf.eprintf "server overloaded\n"
@@ -90,6 +103,9 @@ let print_query_error err =
 (* --- simulate --------------------------------------------------------- *)
 
 let simulate game_id n beta steps seed =
+  params_or_exit
+    (Result.bind (Serve.Engine.check_beta beta) (fun () ->
+         at_least ~what:"steps" ~min:0 steps));
   let spec = find_game game_id in
   let game, potential = spec.Serve.Catalog.build ~n ~beta in
   let rng = Prob.Rng.create seed in
@@ -136,13 +152,9 @@ let segment_key ~game ~n ~beta =
    the same panel sweep as the in-RAM path, both running over the
    segmented kernel — bit-identical results wherever both paths fit. *)
 let mixing_ooc game_id n beta eps jobs segment_file stores no_cache_flags =
-  (* This route bypasses Engine.eval, so it runs the engine's
-     parameter checks itself. *)
-  (match Result.bind (Serve.Engine.check_beta beta) (fun () -> Serve.Engine.check_eps eps) with
-  | Ok () -> ()
-  | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2);
+  params_or_exit
+    (Result.bind (Serve.Engine.check_beta beta) (fun () ->
+         Serve.Engine.check_eps eps));
   let spec = find_game game_id in
   let game, _potential = spec.Serve.Catalog.build ~n ~beta in
   let size = Games.Game.size game in
@@ -479,6 +491,9 @@ let anneal game_id n steps seed =
 (* --- sample (CFTP) -------------------------------------------------------- *)
 
 let sample_cmd_impl game_id n beta count seed =
+  params_or_exit
+    (Result.bind (Serve.Engine.check_beta beta) (fun () ->
+         at_least ~what:"count" ~min:1 count));
   let spec = find_game game_id in
   let game, potential = spec.Serve.Catalog.build ~n ~beta in
   let space = Games.Game.space game in
@@ -703,22 +718,9 @@ let bench_cmd =
             Bench.Cli.compare ~strict ~threshold ~baseline ~candidate ())
         $ strict_arg $ threshold_arg $ baseline_arg $ candidate_arg)
   in
-  let ingest_cmd =
-    let files_arg =
-      Arg.(
-        non_empty & pos_all string []
-        & info [] ~docv:"FILE" ~doc:"Legacy BENCH snapshot files to migrate.")
-    in
-    Cmd.v
-      (Cmd.info "ingest"
-         ~doc:"Migrate legacy bench snapshots into the trajectory")
-      Term.(
-        const (fun path files -> Bench.Cli.ingest ~history_path:path files)
-        $ bench_history_path_arg $ files_arg)
-  in
   Cmd.group
     (Cmd.info "bench" ~doc:"Performance trajectory and regression gate")
-    [ history_cmd; compare_cmd; ingest_cmd ]
+    [ history_cmd; compare_cmd ]
 
 (* --- list --------------------------------------------------------------- *)
 

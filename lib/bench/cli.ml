@@ -47,35 +47,3 @@ let compare ?(strict = false) ?(threshold = default_threshold) ~baseline
               in
               Format.printf "%a" Gate.pp_report report;
               if report.Gate.failed then 1 else 0)
-
-let ingest ?(history_path = History.default_path) paths =
-  let ( let* ) = Result.bind in
-  let migrate_one path =
-    let* contents =
-      Store.Io.read_file path
-      |> Option.to_result ~none:(Printf.sprintf "%s: cannot read" path)
-    in
-    match Migrate.of_legacy_string contents with
-    | Ok records -> Ok records
-    | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-  in
-  let rec go acc = function
-    | [] -> Ok (List.concat (List.rev acc))
-    | path :: rest ->
-        let* records = migrate_one path in
-        go (records :: acc) rest
-  in
-  match go [] paths with
-  | Error msg ->
-      err "%s" msg;
-      2
-  | Ok records -> (
-      match History.append ~path:history_path records with
-      | Error msg ->
-          err "%s" msg;
-          2
-      | Ok all ->
-          Format.printf "ingested %d records from %d files into %s (%d total)@."
-            (List.length records) (List.length paths) history_path
-            (List.length all);
-          0)

@@ -26,8 +26,3 @@ val compare :
 (** Default [--threshold] for {!compare}: percent slowdown allowed
     before the gate fails. *)
 val default_threshold : float
-
-(** [ingest ~history_path paths ()] migrates legacy [BENCH_*.json]
-    snapshots into the trajectory — how a baseline is seeded from
-    pre-trajectory checkouts. *)
-val ingest : ?history_path:string -> string list -> int

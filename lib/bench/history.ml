@@ -57,6 +57,36 @@ let append ~path records =
   | exception Sys_error msg -> Error msg
   | exception Invalid_argument msg -> Error msg
 
+type provenance = { rev : string; host : string; timestamp : float }
+
+let git_rev () =
+  match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+  | exception _ -> "unknown"
+  | ic -> (
+      let line = try input_line ic with End_of_file -> "" in
+      match Unix.close_process_in ic with
+      | Unix.WEXITED 0 when line <> "" -> line
+      | _ | (exception _) -> "unknown")
+
+let provenance () =
+  {
+    rev = git_rev ();
+    host = (try Unix.gethostname () with _ -> "unknown");
+    (* A timestamp, not a duration: wall clock is correct here. *)
+    timestamp = Common.Clock.wall_s ();
+  }
+
+let append_run ?(path = default_path) ?provenance:prov records =
+  let p = match prov with Some p -> p | None -> provenance () in
+  let stamped =
+    List.map
+      (fun r ->
+        { r with Record.rev = p.rev; host = p.host; timestamp = p.timestamp })
+      records
+  in
+  let* _all = append ~path stamped in
+  Ok stamped
+
 let latest_by_key records =
   let tbl = Hashtbl.create 32 in
   let order = ref [] in

@@ -1,7 +1,7 @@
 (** The append-only performance trajectory: every bench run appends
     its records to one schema'd [BENCH_HISTORY.json], so the perf
-    story of the repo is a single ordered file instead of three
-    mutually incompatible one-shot snapshots.
+    story of the repo is a single ordered file — the only artifact the
+    bench harness writes.
 
     File shape:
     {v
@@ -35,6 +35,22 @@ val load : path:string -> (Record.t list, string) result
 (** [append ~path records] loads, appends and atomically rewrites.
     Returns the new full trajectory. *)
 val append : path:string -> Record.t list -> (Record.t list, string) result
+
+(** What {!append_run} stamps on every record of a run. *)
+type provenance = { rev : string; host : string; timestamp : float }
+
+(** [append_run ?path ?provenance records] is how a bench run reports:
+    it stamps every record with [provenance] (default: the current git
+    short revision, ["unknown"] outside a work tree, the hostname and
+    the unix time) and {!append}s them to [path] (default
+    {!default_path}). A record that fails {!Record.validate} appends
+    nothing and leaves the file untouched. Returns the stamped
+    records. *)
+val append_run :
+  ?path:string ->
+  ?provenance:provenance ->
+  Record.t list ->
+  (Record.t list, string) result
 
 (** [latest_by_key records] keeps, for every {!Record.key}, only the
     last (most recently appended) record — the "current state" view

@@ -11,8 +11,8 @@ type t = {
 (* Work-based serial cutover. Dispatching a parallel_for costs a few
    microseconds (task submission, atomic claims, the helping-wait), so a
    pooled kernel whose whole serial runtime is of that order runs
-   *slower* pooled — the BENCH_spmm.json by_power regression (0.38x at
-   |S| = 1024). Every [?pool] kernel therefore estimates its work as
+   *slower* pooled — the spmm_ablation by_power regression in the bench
+   trajectory (0.38x at |S| = 1024). Every [?pool] kernel therefore estimates its work as
    [n * cost] (cost ~ inner-loop iterations per index, so a work unit is
    roughly a fused multiply-add) and falls back to the serial loop below
    the cutover. 65536 units ~ tens of microseconds of serial work, an

@@ -342,7 +342,7 @@ let pull_one c src j =
 (* Cutover cost of one gathered destination: the average row degree
    (one fused multiply-add per stored transition). At logit-chain
    degrees this sends |S| ~ 1024 single-distribution evolves — the
-   pooled by_power regression recorded in BENCH_spmm.json — down the
+   pooled by_power regression in the spmm_ablation records — down the
    serial path, while genuinely large chains still dispatch. *)
 let evolve_cost t = Int.max 1 (t.row_start.(t.size) / t.size)
 

@@ -16,8 +16,13 @@ val logsumexp : float array -> float
 val logsumexp2 : float -> float -> float
 
 (** [normalize_logs xs] maps log-weights to a probability vector:
-    entry [i] becomes [exp (xs.(i) - logsumexp xs)]. All-[-inf] input
-    raises [Invalid_argument]. *)
+    entry [i] becomes [exp (xs.(i) - logsumexp xs)]. When that mass is
+    off 1 by more than [1e-12] — [|max xs|] so large that it swamps
+    the log of the tie count — it falls back to
+    [exp ((xs.(i) - m) - log Σ exp (xs.(j) - m))] with [m = max xs];
+    if [m = +inf] the result is uniform over the [+inf] entries (the
+    β → ∞ limit of a softmax). All-[-inf] input raises
+    [Invalid_argument]. *)
 val normalize_logs : float array -> float array
 
 (** [log1mexp x] is [log (1 - exp x)] for [x < 0], computed stably

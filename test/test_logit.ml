@@ -46,7 +46,23 @@ let update_distribution_huge_beta_no_nan () =
   let game = coordination_game () in
   let sigma = Logit.Logit_dynamics.update_distribution game ~beta:1e6 ~player:0 0 in
   Array.iter (fun p -> check_false "no nan" (Float.is_nan p)) sigma;
-  check_float ~tol:1e-12 "mass 1" 1. (Array.fold_left ( +. ) 0. sigma)
+  check_float ~tol:1e-12 "mass 1" 1. (Array.fold_left ( +. ) 0. sigma);
+  (* A tie at the top: strategies 0 and 1 pay 2, strategy 2 pays 1. At
+     these β the naive log-normaliser [m + log 2] rounds to [m], so the
+     law must still come out as the β → ∞ limit, half on each of the
+     tied best responses. *)
+  let tied =
+    Game.create ~name:"tied" (Strategy_space.uniform ~players:1 ~strategies:3)
+      (fun _ idx -> if idx = 2 then 1. else 2.)
+  in
+  List.iter
+    (fun beta ->
+      let sigma = Logit.Logit_dynamics.update_distribution tied ~beta ~player:0 0 in
+      let what = Printf.sprintf "beta=%g" beta in
+      Array.iter (fun p -> check_false (what ^ ": no nan") (Float.is_nan p)) sigma;
+      check_float ~tol:1e-12 (what ^ ": mass 1") 1. (Array.fold_left ( +. ) 0. sigma);
+      check_array ~tol:1e-12 (what ^ ": tie split evenly") [| 0.5; 0.5; 0. |] sigma)
+    [ 1e8; 1e20; 1e300 ]
 
 let transition_row_stochastic () =
   let game = Zoo.battle_of_sexes in

@@ -285,6 +285,24 @@ let histogram_basic () =
 
 (* ----- qcheck properties ----- *)
 
+(* Log-weights on a coarse grid (so ties are common) scaled up to
+   1e300: the regime where [m + log acc] drops [log acc]. *)
+let normalize_logs_mass_one =
+  QCheck.Test.make ~name:"normalize_logs has mass one up to 1e300 scale"
+    ~count:500
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_range 1 8) (int_range (-4) 4))
+        (int_range 0 300))
+    (fun (grid, e) ->
+      let scale = 10. ** float_of_int e in
+      let p =
+        Logspace.normalize_logs
+          (Array.of_list (List.map (fun k -> scale *. float_of_int k) grid))
+      in
+      Array.for_all (fun x -> x >= 0. && x <= 1.) p
+      && Float.abs (Array.fold_left ( +. ) 0. p -. 1.) <= 1e-12)
+
 let tv_triangle =
   QCheck.Test.make ~name:"TV satisfies triangle inequality" ~count:100
     QCheck.(triple (list_of_size (Gen.return 4) pos_float)
@@ -327,6 +345,7 @@ let suites =
         test "logsumexp2 infinities" logsumexp2_infinities;
         test "log1mexp" logspace_log1mexp;
         qcheck logsumexp_monotone;
+        qcheck normalize_logs_mass_one;
       ] );
     ( "prob.dist",
       [

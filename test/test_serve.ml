@@ -595,16 +595,18 @@ let logitdyn_exe =
     (Filename.dirname Sys.executable_name)
     (Filename.concat Filename.parent_dir_name "bin/logitdyn.exe")
 
+let cli_exit_code args =
+  Sys.command
+    (Printf.sprintf "%s %s > %s 2>&1" (Filename.quote logitdyn_exe) args
+       Filename.null)
+
 let cli_exits_2_on_bad_params () =
   let seg = Filename.temp_file "logitdyn-test" ".seg" in
   Sys.remove seg;
   List.iter
     (fun args ->
-      let cmd =
-        Printf.sprintf "%s mixing ring -n 4 --no-cache %s > %s 2>&1"
-          (Filename.quote logitdyn_exe) args Filename.null
-      in
-      check (Printf.sprintf "`mixing %s` exits 2" args) true (Sys.command cmd = 2))
+      check (Printf.sprintf "`mixing %s` exits 2" args) true
+        (cli_exit_code ("mixing ring -n 4 --no-cache " ^ args) = 2))
     [
       "--beta nan"; "--beta inf"; "--beta=-2"; "--eps 0"; "--eps 2"; "--eps=-1";
       "--betas 0.5:1.0:0.5 --eps 0"; "--betas 0.5:1.0:0.5 --eps 2";
@@ -612,6 +614,29 @@ let cli_exits_2_on_bad_params () =
       "--segment " ^ Filename.quote seg ^ " --eps 2";
     ];
   check "no segment packed for a rejected query" false (Sys.file_exists seg)
+
+(* The β → ∞ regime of Thms 3.8/3.9: utilities tie at a β so large
+   that the softmax's log-normaliser loses the tie count. The chain
+   must still build with unit row sums. *)
+let cli_mixing_huge_beta () =
+  List.iter
+    (fun beta ->
+      let args = "mixing ring -n 4 --no-cache --beta " ^ beta in
+      check (Printf.sprintf "`%s` exits 0" args) true (cli_exit_code args = 0))
+    [ "1e8"; "1e20"; "1e300" ]
+
+(* simulate and sample build their games outside Serve.Engine, so they
+   validate their inputs themselves. *)
+let cli_simulate_sample_exit_2 () =
+  List.iter
+    (fun args ->
+      check (Printf.sprintf "`%s` exits 2" args) true (cli_exit_code args = 2))
+    [
+      "simulate ring -n 4 --beta nan"; "simulate ring -n 4 --beta=-1";
+      "simulate ring -n 4 --steps=-3"; "sample ring -n 4 --beta inf";
+      "sample ring -n 4 --beta nan"; "sample ring -n 4 --count 0";
+      "sample ring -n 4 --count=-2";
+    ]
 
 let suites =
   [
@@ -661,5 +686,9 @@ let suites =
       [
         Alcotest.test_case "mixing exits 2 on bad beta and eps" `Quick
           cli_exits_2_on_bad_params;
+        Alcotest.test_case "mixing exits 0 at huge beta" `Quick
+          cli_mixing_huge_beta;
+        Alcotest.test_case "simulate and sample exit 2 on bad input" `Quick
+          cli_simulate_sample_exit_2;
       ] );
   ]

@@ -302,9 +302,9 @@ let marshal_outside_store =
 
 (* ------------------------------------------------------------------ *)
 (* bench-json-outside-bench: the bench trajectory subsystem (lib/bench)
-   owns the BENCH snapshot/trajectory filenames. A module elsewhere
-   spelling one as a literal is about to write a bench artifact without
-   going through Bench.Sink — bypassing migration into the trajectory,
+   owns the BENCH_HISTORY.json filename. A module elsewhere spelling a
+   BENCH_*.json literal is about to write a bench artifact without
+   going through Bench.History — bypassing the single trajectory,
    provenance stamping and the atomic-write discipline. *)
 
 let is_bench_json_literal s =
@@ -316,8 +316,8 @@ let bench_json_outside_bench =
     Syntactic.name = "bench-json-outside-bench";
     doc =
       "a BENCH_<name>.json filename literal outside lib/bench/: bench \
-       artifacts are written through Bench.Sink (which owns the paths) so \
-       every snapshot also lands in the BENCH_HISTORY.json trajectory.";
+       results are appended through Bench.History (which owns the path) \
+       to BENCH_HISTORY.json, the bench's only artifact.";
     applies = (fun path -> not (has_prefix ~prefix:"lib/bench/" path));
     check =
       Syntactic.Ast_rule
@@ -332,8 +332,7 @@ let bench_json_outside_bench =
                     report loc
                       (Printf.sprintf
                          "literal %S names a bench artifact outside \
-                          lib/bench/; route it through Bench.Sink / \
-                          Bench.History"
+                          lib/bench/; append through Bench.History"
                          s)
                 | _ -> ());
           });
