@@ -18,27 +18,18 @@
    pool size (default: the machine's recommended domain count, at
    least 2).
 
-   Phase 1.6 is the CSR storage ablation: the pre-CSR chain kernels
-   (boxed tuple rows, allocating evolve, linear-scan sampling) are kept
-   alive in the [Baseline] module below and raced against the CSR
-   kernels on an evolve-dominated workload (mixing_time_all) and a
-   sample_step-dominated one (empirical_tv). Outputs are checked
-   bit-identical; the verdict is each record's correctness bit.
-
    Phase 1.7 is the artifact-store ablation: the `logitdyn mixing`
    artifact pipeline (chain, stationary law, TV curve) is run cold and
    then warm against a fresh store, the decoded artifacts are checked
    bit-identical to the computed ones, and a killed-mid-grid sweep is
    resumed through Sweep.map_cached.
 
-   Phase 1.8 is the kernel-mode ablation for distribution evolution:
-   the PR 2 serial push (scatter) loop over all starts is raced against
-   (a) the pull (gather) kernel over the transposed layout with the
-   starts chunked across domains and (b) the blocked SpMM panel kernel
-   [Chain.evolve_many_into] that advances all starts in one matrix
-   traversal, serial and pooled. All arms are gated on bit-identical
-   outputs (same t_mix, same TV curve, evolve checked on random
-   vectors).
+   Phase 1.8 is the kernel ablation for distribution evolution: the
+   blocked SpMM panel kernel [Chain.evolve_many_into], which advances
+   all starts in one matrix traversal, serial against pooled on
+   mixing_time_all and the all-starts TV curve, plus the stationary
+   power iteration serial against pooled. Each pooled arm is gated on
+   bit-identical outputs with its serial reference.
 
    Phase 1.9 is the daemon load bench: a logitdynd server is spun up
    on a private socket and (a) 8 clients race one same-chain mixing
@@ -61,21 +52,14 @@
    artifact.
 
    Pass --quick to shrink the experiment sweeps; pass --skip-micro to
-   print only the tables; pass --csr-only, --store-only, --spmm-only,
-   --serve-only, --ooc-only or --family-only to run just that
-   ablation (phase 1.11 is the β-family one). *)
+   print only the tables; pass --phase NAME (store, spmm, serve, ooc or
+   family — phases 1.7 to 1.11) to run just that ablation. *)
 
 open Bechamel
 open Toolkit
 
 let quick = Array.exists (( = ) "--quick") Sys.argv
 let skip_micro = Array.exists (( = ) "--skip-micro") Sys.argv
-let csr_only = Array.exists (( = ) "--csr-only") Sys.argv
-let store_only = Array.exists (( = ) "--store-only") Sys.argv
-let spmm_only = Array.exists (( = ) "--spmm-only") Sys.argv
-let serve_only = Array.exists (( = ) "--serve-only") Sys.argv
-let ooc_only = Array.exists (( = ) "--ooc-only") Sys.argv
-let family_only = Array.exists (( = ) "--family-only") Sys.argv
 
 (* One trajectory record of the running phase, in this run's profile.
    Serial arms are the default ([jobs = 1]); [speedup] is against the
@@ -354,318 +338,7 @@ let run_ablation () =
     "parallel runs reuse one pool; agreement is checked on the actual outputs.";
   Experiments.Table.print table
 
-(* --- Phase 1.6: CSR storage ablation ----------------------------------- *)
-
-(* The pre-CSR chain representation and kernels, reconstructed over the
-   public row views: boxed (int * float) tuple rows, a fresh vector
-   allocated per evolve, linear-scan sampling. This is the "before" arm
-   of the ablation; the CSR library kernels are the "after" arm. *)
-module Baseline = struct
-  type t = { size : int; rows : (int * float) array array }
-
-  let of_chain c =
-    {
-      size = Markov.Chain.size c;
-      rows = Array.init (Markov.Chain.size c) (Markov.Chain.row c);
-    }
-
-  let evolve t mu =
-    let out = Array.make t.size 0. in
-    for i = 0 to t.size - 1 do
-      let mass = mu.(i) in
-      if mass > 0. then
-        Array.iter (fun (j, p) -> out.(j) <- out.(j) +. (mass *. p)) t.rows.(i)
-    done;
-    out
-
-  let sample_step rng t i =
-    let entries = t.rows.(i) in
-    let u = Prob.Rng.float rng in
-    let acc = ref 0. in
-    let result = ref (fst entries.(Array.length entries - 1)) in
-    let found = ref false in
-    Array.iter
-      (fun (j, p) ->
-        if not !found then begin
-          acc := !acc +. p;
-          if u < !acc then begin
-            result := j;
-            found := true
-          end
-        end)
-      entries;
-    !result
-
-  let tv_against pi mu =
-    let acc = ref 0. in
-    Array.iteri (fun i x -> acc := !acc +. Float.abs (x -. pi.(i))) mu;
-    0.5 *. !acc
-
-  let point_mass n i =
-    let v = Array.make n 0. in
-    v.(i) <- 1.;
-    v
-
-  let tv_curve t pi ~steps =
-    let n = t.size in
-    let mus = Array.init n (point_mass n) in
-    let tvs = Array.map (tv_against pi) mus in
-    let worst () = Array.fold_left Float.max 0. tvs in
-    let curve = Array.make (steps + 1) 0. in
-    curve.(0) <- worst ();
-    for step = 1 to steps do
-      Array.iteri
-        (fun k mu ->
-          mus.(k) <- evolve t mu;
-          tvs.(k) <- tv_against pi mus.(k))
-        mus;
-      curve.(step) <- worst ()
-    done;
-    curve
-
-  let mixing_time_all ?(eps = 0.25) ?(max_steps = 1_000_000) t pi =
-    let n = t.size in
-    let mus = Array.init n (point_mass n) in
-    let tvs = Array.map (tv_against pi) mus in
-    let worst () = Array.fold_left Float.max 0. tvs in
-    let rec go step =
-      if worst () <= eps then Some step
-      else if step >= max_steps then None
-      else begin
-        Array.iteri
-          (fun k mu ->
-            mus.(k) <- evolve t mu;
-            tvs.(k) <- tv_against pi mus.(k))
-          mus;
-        go (step + 1)
-      end
-    in
-    go 0
-
-  let empirical_tv rng t pi ~start ~steps ~replicas =
-    let streams = Prob.Rng.split_n rng replicas in
-    let final = Array.make replicas start in
-    for r = 0 to replicas - 1 do
-      let rng = streams.(r) in
-      let state = ref start in
-      for _ = 1 to steps do
-        state := sample_step rng t !state
-      done;
-      final.(r) <- !state
-    done;
-    let emp = Prob.Empirical.create t.size in
-    Array.iter (Prob.Empirical.add emp) final;
-    Prob.Empirical.tv_against emp (Prob.Dist.of_weights pi)
-end
-
-let run_csr_ablation () =
-  let n_ring = if quick then 8 else 10 in
-  let tv_steps = if quick then 50 else 150 in
-  let emp_steps = if quick then 100 else 200 in
-  let emp_replicas = if quick then 10_000 else 50_000 in
-  let desc =
-    Games.Graphical.create (Graphs.Generators.ring n_ring)
-      (Games.Coordination.of_deltas ~delta0:1.0 ~delta1:1.0)
-  in
-  let game = Games.Graphical.to_game desc in
-  let size = Games.Game.size game in
-  let chain = Logit.Logit_dynamics.chain game ~beta in
-  let baseline = Baseline.of_chain chain in
-  let pi =
-    Logit.Gibbs.stationary (Games.Game.space game)
-      (Games.Graphical.potential desc)
-      ~beta
-  in
-  (* Correctness gates first: the CSR kernels must reproduce the
-     pre-CSR outputs bit-for-bit before any timing means anything. *)
-  let evolve_identical =
-    let r = Prob.Rng.create 7 in
-    let ok = ref true in
-    for _ = 1 to 5 do
-      let mu = Array.init size (fun _ -> Prob.Rng.float r) in
-      let total = Array.fold_left ( +. ) 0. mu in
-      let mu = Array.map (fun x -> x /. total) mu in
-      if Markov.Chain.evolve chain mu <> Baseline.evolve baseline mu then
-        ok := false
-    done;
-    !ok
-  in
-  let starts = List.init size Fun.id in
-  let curve_base, t_curve_base =
-    time (fun () -> Baseline.tv_curve baseline pi ~steps:tv_steps)
-  in
-  let curve_csr, t_curve_csr =
-    time (fun () -> Markov.Mixing.tv_curve chain pi ~starts ~steps:tv_steps)
-  in
-  let curve_identical = curve_base = curve_csr in
-  let tmix_base, t_mix_base =
-    time (fun () -> Baseline.mixing_time_all baseline pi)
-  in
-  let tmix_csr, t_mix_csr =
-    time (fun () -> Markov.Mixing.mixing_time_all chain pi)
-  in
-  let emp_base, t_emp_base =
-    time (fun () ->
-        Baseline.empirical_tv (Prob.Rng.create 11) baseline pi ~start:0
-          ~steps:emp_steps ~replicas:emp_replicas)
-  in
-  let emp_csr, t_emp_csr =
-    time (fun () ->
-        Markov.Mixing.empirical_tv (Prob.Rng.create 11) chain pi ~start:0
-          ~steps:emp_steps ~replicas:emp_replicas)
-  in
-  let table =
-    Experiments.Table.create
-      ~title:
-        (Printf.sprintf
-           "CSR ablation: boxed rows + linear scan vs flat CSR (ring n=%d, \
-            |S|=%d, beta=%g)"
-           n_ring size beta)
-      [
-        ("workload", Experiments.Table.Left);
-        ("pre-CSR s", Experiments.Table.Right);
-        ("CSR s", Experiments.Table.Right);
-        ("speedup", Experiments.Table.Right);
-        ("agree", Experiments.Table.Right);
-      ]
-  in
-  let add name t_base t_csr agree =
-    Experiments.Table.add_row table
-      [
-        name;
-        Printf.sprintf "%.3f" t_base;
-        Printf.sprintf "%.3f" t_csr;
-        Printf.sprintf "%.2fx" (t_base /. t_csr);
-        Experiments.Table.cell_bool agree;
-      ]
-  in
-  add
-    (Printf.sprintf "tv_curve (all starts, %d steps)" tv_steps)
-    t_curve_base t_curve_csr curve_identical;
-  add "mixing_time_all (evolve-dominated)" t_mix_base t_mix_csr
-    (tmix_base = tmix_csr);
-  add
-    (Printf.sprintf "empirical_tv (%d replicas x %d steps)" emp_replicas
-       emp_steps)
-    t_emp_base t_emp_csr
-    (emp_base = emp_csr);
-  Experiments.Table.add_note table
-    "agree = outputs bit-identical to the pre-CSR kernels (evolve checked on 5 \
-     random vectors too).";
-  Experiments.Table.print table;
-  if not evolve_identical then
-    Printf.printf "WARNING: CSR evolve diverged from the pre-CSR kernel!\n";
-  let r = record ~bench:"csr_ablation" in
-  let pair workload t_base t_csr correct =
-    [
-      r ~workload ~arm:"pre_csr" ~seconds:t_base ~speedup:1.0 ~correct ();
-      r ~workload ~arm:"csr" ~seconds:t_csr ~speedup:(t_base /. t_csr) ~correct
-        ();
-    ]
-  in
-  record_phase ~label:"CSR ablation"
-    (pair "tv_curve" t_curve_base t_curve_csr curve_identical
-    @ pair "mixing_time_all" t_mix_base t_mix_csr (tmix_base = tmix_csr)
-    @ pair "empirical_tv" t_emp_base t_emp_csr (emp_base = emp_csr))
-
-(* --- Phase 1.8: push vs pull vs SpMM kernel ablation -------------------- *)
-
-(* The PR 2 shape of the all-starts mixing workload: one float array per
-   start, advanced by the serial push kernel [Chain.evolve_into], TV
-   re-measured per start per step. This is the "before" arm; the pull
-   and SpMM kernels must reproduce its outputs bit-for-bit. *)
-module Push_mixing = struct
-  let tv_against pi mu =
-    let acc = ref 0. in
-    Array.iteri (fun i x -> acc := !acc +. Float.abs (x -. pi.(i))) mu;
-    0.5 *. !acc
-
-  let point_mass n i =
-    let v = Array.make n 0. in
-    v.(i) <- 1.;
-    v
-
-  let worst tvs = Array.fold_left Float.max 0. tvs
-
-  (* [advance] runs one synchronous step of every start; [kernel] is
-     the per-start evolve, so the same driver times push (serial) and
-     pull (pooled over starts) against identical state. *)
-  let make_state chain pi =
-    let n = Markov.Chain.size chain in
-    let mus = ref (Array.init n (point_mass n)) in
-    let scratch = ref (Array.init n (fun _ -> Array.make n 0.)) in
-    let tvs = Array.map (tv_against pi) !mus in
-    (mus, scratch, tvs)
-
-  let mixing_time_all ?(eps = 0.25) ?(max_steps = 1_000_000) ~advance chain pi =
-    let mus, scratch, tvs = make_state chain pi in
-    let rec go step =
-      if worst tvs <= eps then Some step
-      else if step >= max_steps then None
-      else begin
-        advance !mus !scratch tvs;
-        let previous = !mus in
-        mus := !scratch;
-        scratch := previous;
-        go (step + 1)
-      end
-    in
-    go 0
-
-  let tv_curve ~advance chain pi ~steps =
-    let mus, scratch, tvs = make_state chain pi in
-    let curve = Array.make (steps + 1) 0. in
-    curve.(0) <- worst tvs;
-    for step = 1 to steps do
-      advance !mus !scratch tvs;
-      let previous = !mus in
-      mus := !scratch;
-      scratch := previous;
-      curve.(step) <- worst tvs
-    done;
-    curve
-
-  let push_advance chain pi mus scratch tvs =
-    Array.iteri
-      (fun s mu ->
-        Markov.Chain.evolve_into chain ~src:mu ~dst:scratch.(s);
-        tvs.(s) <- tv_against pi scratch.(s))
-      mus
-end
-
-(* The pooled pull arm. The pull kernel's one-writer ownership makes
-   every start's trajectory independent of the others, so instead of a
-   synchronized step loop (a pool dispatch and a barrier per step) each
-   start runs to its own eps-crossing inside one dispatch, double
-   buffers hot in its domain's cache, and stops as soon as it has mixed
-   rather than being dragged to the slowest start's horizon. TV to
-   stationarity is non-increasing in t, so the max of the per-start
-   crossing times is the synchronized mixing time; the caller gates the
-   agreement bit-for-bit. *)
-let pull_mixing_time_all ?(eps = 0.25) ?(max_steps = 1_000_000) pool chain pi =
-  let n = Markov.Chain.size chain in
-  let times = Array.make n 0 in
-  let mixed = Array.make n true in
-  Exec.Pool.parallel_for pool ~n (fun s ->
-      let mu = ref (Array.make n 0.) in
-      let scratch = ref (Array.make n 0.) in
-      !mu.(s) <- 1.;
-      let t = ref 0 in
-      let tv = ref (Push_mixing.tv_against pi !mu) in
-      while !tv > eps && !t < max_steps do
-        Markov.Chain.evolve_pull_into chain ~src:!mu ~dst:!scratch;
-        let previous = !mu in
-        mu := !scratch;
-        scratch := previous;
-        incr t;
-        tv := Push_mixing.tv_against pi !mu
-      done;
-      (* lint: allow domain-capture — times.(s) has exactly one writer, start s *)
-      times.(s) <- !t;
-      (* lint: allow domain-capture — mixed.(s) has exactly one writer, start s *)
-      mixed.(s) <- !tv <= eps);
-  if Array.for_all Fun.id mixed then Some (Array.fold_left Int.max 0 times)
-  else None
+(* --- Phase 1.8: SpMM kernel ablation ---------------------------------- *)
 
 let run_spmm_ablation () =
   let n_ring = if quick then 8 else 10 in
@@ -683,46 +356,19 @@ let run_spmm_ablation () =
       ~beta
   in
   (* Force the lazy CSC derivation once, outside all timed regions, so
-     every pull/SpMM arm pays for kernels, not for the transpose. *)
+     every SpMM arm pays for kernels, not for the transpose. *)
   ignore (Markov.Chain.to_csc chain);
   Exec.Pool.with_pool ~domains:jobs @@ fun pool ->
-  (* Correctness gate: the pull kernel must reproduce the push kernel
-     bit-for-bit on random (sparse, unnormalised) vectors. *)
-  let evolve_identical =
-    let r = Prob.Rng.create 7 in
-    let push = Array.make size 0. and pull = Array.make size 0. in
-    let ok = ref true in
-    for _ = 1 to 5 do
-      let mu =
-        Array.init size (fun _ ->
-            if Prob.Rng.float r < 0.3 then 0. else Prob.Rng.float r)
-      in
-      Markov.Chain.evolve_into chain ~src:mu ~dst:push;
-      Markov.Chain.evolve_pull_into chain ~src:mu ~dst:pull;
-      if push <> pull then ok := false
-    done;
-    !ok
-  in
-  let tmix_push, t_push =
-    time (fun () ->
-        Push_mixing.mixing_time_all
-          ~advance:(Push_mixing.push_advance chain pi)
-          chain pi)
-  in
-  let tmix_pull, t_pull = time (fun () -> pull_mixing_time_all pool chain pi) in
-  let tmix_spmm, t_spmm = time (fun () -> Markov.Mixing.mixing_time_all chain pi) in
-  let tmix_spmm_pool, t_spmm_pool =
+  let tmix_serial, t_serial = time (fun () -> Markov.Mixing.mixing_time_all chain pi) in
+  let tmix_pooled, t_pooled =
     time (fun () -> Markov.Mixing.mixing_time_all ~pool chain pi)
   in
   let starts = List.init size Fun.id in
-  let curve_push, t_curve_push =
-    time (fun () ->
-        Push_mixing.tv_curve
-          ~advance:(Push_mixing.push_advance chain pi)
-          chain pi ~steps:tv_steps)
-  in
-  let curve_spmm, t_curve_spmm =
+  let curve_serial, t_curve_serial =
     time (fun () -> Markov.Mixing.tv_curve chain pi ~starts ~steps:tv_steps)
+  in
+  let curve_pooled, t_curve_pooled =
+    time (fun () -> Markov.Mixing.tv_curve ~pool chain pi ~starts ~steps:tv_steps)
   in
   let (power_serial, t_power_serial), (power_pooled, t_power_pooled) =
     time_pair ~reps:100
@@ -733,8 +379,8 @@ let run_spmm_ablation () =
     Experiments.Table.create
       ~title:
         (Printf.sprintf
-           "SpMM ablation: serial push vs pooled pull vs blocked SpMM (ring \
-            n=%d, |S|=%d, beta=%g, %d domains)"
+           "SpMM ablation: serial vs pooled blocked SpMM (ring n=%d, |S|=%d, \
+            beta=%g, %d domains)"
            n_ring size beta jobs)
       [
         ("workload / arm", Experiments.Table.Left);
@@ -752,48 +398,36 @@ let run_spmm_ablation () =
         Experiments.Table.cell_bool agree;
       ]
   in
-  add "mixing_time_all / serial push (PR 2 baseline)" t_push 1.0 true;
-  add "mixing_time_all / pooled pull" t_pull (t_push /. t_pull)
-    (tmix_pull = tmix_push);
-  add "mixing_time_all / SpMM serial" t_spmm (t_push /. t_spmm)
-    (tmix_spmm = tmix_push);
-  add "mixing_time_all / SpMM pooled" t_spmm_pool (t_push /. t_spmm_pool)
-    (tmix_spmm_pool = tmix_push);
-  add
-    (Printf.sprintf "tv_curve(%d) / serial push" tv_steps)
-    t_curve_push 1.0 true;
-  add
-    (Printf.sprintf "tv_curve(%d) / SpMM" tv_steps)
-    t_curve_spmm
-    (t_curve_push /. t_curve_spmm)
-    (curve_push = curve_spmm);
-  add "by_power / serial push" t_power_serial 1.0 true;
-  add "by_power / pooled pull" t_power_pooled (t_power_serial /. t_power_pooled)
-    (power_serial = power_pooled);
-  Experiments.Table.add_note table
-    "agree = outputs bit-identical to the serial push arm (evolve also checked \
-     push-vs-pull on 5 random vectors).";
-  Experiments.Table.print table;
-  if not evolve_identical then
-    Printf.printf "WARNING: pull evolve diverged from the push kernel!\n";
-  let r = record ~bench:"spmm_ablation" in
-  let tv_correct = curve_push = curve_spmm in
+  let mix_correct = tmix_serial = tmix_pooled in
+  let tv_correct = curve_serial = curve_pooled in
   let bp_correct = power_serial = power_pooled in
+  add "mixing_time_all / SpMM serial" t_serial 1.0 mix_correct;
+  add "mixing_time_all / SpMM pooled" t_pooled (t_serial /. t_pooled) mix_correct;
+  add (Printf.sprintf "tv_curve(%d) / SpMM serial" tv_steps) t_curve_serial 1.0
+    tv_correct;
+  add
+    (Printf.sprintf "tv_curve(%d) / SpMM pooled" tv_steps)
+    t_curve_pooled
+    (t_curve_serial /. t_curve_pooled)
+    tv_correct;
+  add "by_power / serial push" t_power_serial 1.0 bp_correct;
+  add "by_power / pooled pull" t_power_pooled (t_power_serial /. t_power_pooled)
+    bp_correct;
+  Experiments.Table.add_note table
+    "agree = serial and pooled outputs bit-identical (t_mix, every TV curve \
+     point, the stationary vector).";
+  Experiments.Table.print table;
+  let r = record ~bench:"spmm_ablation" in
   record_phase ~label:"SpMM ablation"
     [
-      r ~workload:"mixing_time_all" ~arm:"serial_push" ~seconds:t_push
-        ~speedup:1.0 ~correct:true ();
-      r ~workload:"mixing_time_all" ~arm:"pooled_pull" ~seconds:t_pull
-        ~speedup:(t_push /. t_pull) ~correct:(tmix_pull = tmix_push) ~jobs ();
-      r ~workload:"mixing_time_all" ~arm:"spmm_serial" ~seconds:t_spmm
-        ~speedup:(t_push /. t_spmm) ~correct:(tmix_spmm = tmix_push) ();
-      r ~workload:"mixing_time_all" ~arm:"spmm_pooled" ~seconds:t_spmm_pool
-        ~speedup:(t_push /. t_spmm_pool)
-        ~correct:(tmix_spmm_pool = tmix_push) ~jobs ();
-      r ~workload:"tv_curve" ~arm:"serial_push" ~seconds:t_curve_push
-        ~speedup:1.0 ~correct:tv_correct ();
-      r ~workload:"tv_curve" ~arm:"spmm" ~seconds:t_curve_spmm
-        ~speedup:(t_curve_push /. t_curve_spmm) ~correct:tv_correct ();
+      r ~workload:"mixing_time_all" ~arm:"spmm_serial" ~seconds:t_serial
+        ~speedup:1.0 ~correct:mix_correct ();
+      r ~workload:"mixing_time_all" ~arm:"spmm_pooled" ~seconds:t_pooled
+        ~speedup:(t_serial /. t_pooled) ~correct:mix_correct ~jobs ();
+      r ~workload:"tv_curve" ~arm:"spmm" ~seconds:t_curve_serial ~speedup:1.0
+        ~correct:tv_correct ();
+      r ~workload:"tv_curve" ~arm:"spmm_pooled" ~seconds:t_curve_pooled
+        ~speedup:(t_curve_serial /. t_curve_pooled) ~correct:tv_correct ~jobs ();
       r ~workload:"by_power" ~arm:"serial" ~seconds:t_power_serial ~speedup:1.0
         ~correct:bp_correct ();
       r ~workload:"by_power" ~arm:"pooled" ~seconds:t_power_pooled
@@ -1618,58 +1252,66 @@ let run_micro () =
     (List.sort compare rows);
   Experiments.Table.print table
 
+(* The ablation phases, in full-run order; --phase NAME runs one alone. *)
+let phases =
+  [
+    ("store", "phase 1.7: artifact store ablation (cold vs warm)",
+     run_store_ablation);
+    ("spmm", "phase 1.8: SpMM kernel ablation (serial vs pooled)",
+     run_spmm_ablation);
+    ("serve", "phase 1.9: daemon load bench (coalescing + open loop)",
+     run_serve_ablation);
+    ("ooc", "phase 1.10: out-of-core segment ablation (mmap + stream)",
+     run_ooc_ablation);
+    ("family", "phase 1.11: beta-family ablation (per-point vs shared structure)",
+     run_family_ablation);
+  ]
+
+(* The --phase selection, checked before anything runs: an unknown or
+   repeated name exits 2 with the valid names. *)
+let selected_phase () =
+  let rec names i acc =
+    if i >= Array.length Sys.argv then List.rev acc
+    else if Sys.argv.(i) = "--phase" then
+      let name = if i + 1 < Array.length Sys.argv then Sys.argv.(i + 1) else "" in
+      names (i + 2) (name :: acc)
+    else names (i + 1) acc
+  in
+  let usage msg =
+    Printf.eprintf "bench: %s; valid phases: %s\n" msg
+      (String.concat ", " (List.map (fun (name, _, _) -> name) phases));
+    exit 2
+  in
+  match names 1 [] with
+  | [] -> None
+  | [ name ] -> (
+      match List.find_opt (fun (n, _, _) -> n = name) phases with
+      | Some _ as phase -> phase
+      | None -> usage (Printf.sprintf "unknown phase %S" name))
+  | _ -> usage "--phase given more than once"
+
 let () =
+  let phase = selected_phase () in
   Printf.printf "logitdyn benchmark harness%s\n"
     (if quick then " (quick mode)" else "");
-  if csr_only then begin
-    Printf.printf "phase 1.6: CSR storage ablation (pre-CSR vs CSR kernels)\n%!";
-    run_csr_ablation ()
-  end
-  else if store_only then begin
-    Printf.printf "phase 1.7: artifact store ablation (cold vs warm)\n%!";
-    run_store_ablation ()
-  end
-  else if spmm_only then begin
-    Printf.printf "phase 1.8: SpMM kernel ablation (push vs pull vs SpMM)\n%!";
-    run_spmm_ablation ()
-  end
-  else if serve_only then begin
-    Printf.printf "phase 1.9: daemon load bench (coalescing + open loop)\n%!";
-    run_serve_ablation ()
-  end
-  else if ooc_only then begin
-    Printf.printf "phase 1.10: out-of-core segment ablation (mmap + stream)\n%!";
-    run_ooc_ablation ()
-  end
-  else if family_only then begin
-    Printf.printf
-      "phase 1.11: beta-family ablation (per-point vs shared structure)\n%!";
-    run_family_ablation ()
-  end
-  else begin
-    Printf.printf
-      "phase 1: regenerating every experiment table (E1..E9, X1..X10)\n";
-    let t0 = Common.Clock.monotonic_ns () in
-    Experiments.Registry.run_all ~quick ();
-    Printf.printf "\nphase 1 elapsed: %.1fs\n" (Common.Clock.span_s ~since:t0);
-    Printf.printf "\nphase 1.5: serial vs parallel ablation (%d domains)\n%!" jobs;
-    run_ablation ();
-    Printf.printf
-      "\nphase 1.6: CSR storage ablation (pre-CSR vs CSR kernels)\n%!";
-    run_csr_ablation ();
-    Printf.printf "\nphase 1.7: artifact store ablation (cold vs warm)\n%!";
-    run_store_ablation ();
-    Printf.printf "\nphase 1.8: SpMM kernel ablation (push vs pull vs SpMM)\n%!";
-    run_spmm_ablation ();
-    Printf.printf "\nphase 1.9: daemon load bench (coalescing + open loop)\n%!";
-    run_serve_ablation ();
-    Printf.printf "\nphase 1.10: out-of-core segment ablation (mmap + stream)\n%!";
-    run_ooc_ablation ();
-    Printf.printf
-      "\nphase 1.11: beta-family ablation (per-point vs shared structure)\n%!";
-    run_family_ablation ();
-    if not skip_micro then begin
-      Printf.printf "\nphase 2: micro-benchmarks\n%!";
-      run_micro ()
-    end
-  end
+  match phase with
+  | Some (_, banner, run) ->
+      Printf.printf "%s\n%!" banner;
+      run ()
+  | None ->
+      Printf.printf
+        "phase 1: regenerating every experiment table (E1..E9, X1..X10)\n";
+      let t0 = Common.Clock.monotonic_ns () in
+      Experiments.Registry.run_all ~quick ();
+      Printf.printf "\nphase 1 elapsed: %.1fs\n" (Common.Clock.span_s ~since:t0);
+      Printf.printf "\nphase 1.5: serial vs parallel ablation (%d domains)\n%!" jobs;
+      run_ablation ();
+      List.iter
+        (fun (_, banner, run) ->
+          Printf.printf "\n%s\n%!" banner;
+          run ())
+        phases;
+      if not skip_micro then begin
+        Printf.printf "\nphase 2: micro-benchmarks\n%!";
+        run_micro ()
+      end

@@ -512,16 +512,20 @@ let sample_cmd_impl game_id n beta count seed =
     count beta;
   let emp = Prob.Empirical.create (Games.Game.size game) in
   let max_window = ref 0 in
-  for k = 1 to count do
-    let x, window = Logit.Perfect_sampling.coalescence_epoch rng game ~beta in
-    Prob.Empirical.add emp x;
-    if window > !max_window then max_window := window;
-    if k <= 10 then
-      Printf.printf "sample %2d: %s  (window %d)\n" k
-        (Format.asprintf "%a" Games.Strategy_space.pp_profile
-           (Games.Strategy_space.decode space x))
-        window
-  done;
+  (try
+     for k = 1 to count do
+       let x, window = Logit.Perfect_sampling.coalescence_epoch rng game ~beta in
+       Prob.Empirical.add emp x;
+       if window > !max_window then max_window := window;
+       if k <= 10 then
+         Printf.printf "sample %2d: %s  (window %d)\n" k
+           (Format.asprintf "%a" Games.Strategy_space.pp_profile
+              (Games.Strategy_space.decode space x))
+           window
+     done
+   with Common.No_convergence msg ->
+     Printf.eprintf "error: %s\n" msg;
+     exit 2);
   Printf.printf "max backward window: %d steps\n" !max_window;
   (match potential with
   | Some phi when Games.Game.size game <= 1 lsl 16 ->

@@ -46,7 +46,12 @@ let apply_move game ~beta (player, u) state =
   let sigma = Logit_dynamics.update_distribution game ~beta ~player state in
   Strategy_space.replace space state player (if u <= sigma.(0) then 0 else 1)
 
-let run_cftp ?(max_epochs = 40) rng game ~beta =
+(* The move buffer holds 2^max_epochs boxed moves, so the default
+   bounds memory as well as time: 2^20 moves is tens of MB and under a
+   second of sweeps, where 2^40 exhausts memory first. Large-β chains
+   (t_mix = e^{βζ(1±o(1))}) reach the bound; every experiment coalesces
+   within 2^12. *)
+let run_cftp ?(max_epochs = 20) rng game ~beta =
   require_binary game;
   let space = Game.space game in
   let top_start =

@@ -24,8 +24,9 @@ val is_attractive : Games.Game.t -> beta:float -> bool
     Requires binary strategies; correctness additionally requires the
     game to be attractive (see {!is_attractive}) — this is NOT checked
     here (it costs 4ⁿ); non-monotone games yield biased samples.
-    [max_epochs] (default 40, i.e. 2⁴⁰ steps) bounds the backward
-    doubling; raises [Common.No_convergence] beyond it. *)
+    [max_epochs] (default 20, i.e. 2²⁰ steps) bounds the backward
+    doubling, and with it the memory of the stored moves; raises
+    [Common.No_convergence] beyond it. *)
 val sample : ?max_epochs:int -> Prob.Rng.t -> Games.Game.t -> beta:float -> int
 
 (** [samples ?pool rng game ~beta ~count] draws independent exact

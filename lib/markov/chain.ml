@@ -328,8 +328,9 @@ let push_into t ~src ~dst =
    which the per-entry guard below mirrors. Hence pull results are
    bit-identical to push, while every destination slot is written by
    exactly one loop iteration, so destinations can be chunked across
-   domains race-free. *)
-let pull_one c src j =
+   domains race-free. The sum is stored here rather than returned: a
+   float result would be boxed, two words per destination. *)
+let pull_one c ~src ~dst j =
   let col_start = c.t_col_start and rows = c.t_cols and probs = c.t_probs in
   let acc = ref 0. in
   let stop = Array.unsafe_get col_start (j + 1) - 1 in
@@ -337,7 +338,7 @@ let pull_one c src j =
     let mass = Array.unsafe_get src (Array.unsafe_get rows k) in
     if mass > 0. then acc := !acc +. (mass *. Array.unsafe_get probs k)
   done;
-  !acc
+  Array.unsafe_set dst j !acc
 
 (* Cutover cost of one gathered destination: the average row degree
    (one fused multiply-add per stored transition). At logit-chain
@@ -351,14 +352,13 @@ let evolve_pull_into ?pool t ~src ~dst =
   let c = csc t in
   match pool with
   | Some pool when Exec.Pool.parallelize pool ~cost:(evolve_cost t) ~n:t.size ->
-      Exec.Pool.parallel_for pool ~n:t.size (fun j ->
-          (* lint: allow domain-capture — pull kernel: dst.(j) has exactly one writer, iteration j *)
-          Array.unsafe_set dst j (pull_one c src j))
+      (* pull_one writes dst.(j) only: one writer per destination. *)
+      Exec.Pool.parallel_for pool ~n:t.size (pull_one c ~src ~dst)
   | _ ->
       (* Direct loop: a closure dispatch per destination costs ~15% of
          the whole kernel at logit-chain degrees. *)
       for j = 0 to t.size - 1 do
-        Array.unsafe_set dst j (pull_one c src j)
+        pull_one c ~src ~dst j
       done
 
 let evolve_into ?pool t ~src ~dst =
@@ -366,9 +366,8 @@ let evolve_into ?pool t ~src ~dst =
   match pool with
   | Some pool when Exec.Pool.parallelize pool ~cost:(evolve_cost t) ~n:t.size ->
       let c = csc t in
-      Exec.Pool.parallel_for pool ~n:t.size (fun j ->
-          (* lint: allow domain-capture — pull kernel: dst.(j) has exactly one writer, iteration j *)
-          Array.unsafe_set dst j (pull_one c src j))
+      (* pull_one writes dst.(j) only: one writer per destination. *)
+      Exec.Pool.parallel_for pool ~n:t.size (pull_one c ~src ~dst)
   | _ ->
       (* Below the cutover the push scatter is the fastest serial
          kernel, and it is bit-identical to the pooled pull. *)

@@ -136,8 +136,9 @@ val evolve_into : ?pool:Exec.Pool.t -> t -> src:float array -> dst:float array -
     [i], so the result is bit-identical to the push kernel while each
     destination is owned by exactly one writer — the race-free shape
     behind pooled single-distribution evolution. Same argument checks
-    as {!evolve_into}. Exposed separately so the serial pull kernel
-    can be tested and benchmarked against the push kernel directly. *)
+    as {!evolve_into}, and like it allocates nothing per call. Exposed
+    separately so the serial pull kernel can be tested against the
+    push kernel directly. *)
 val evolve_pull_into :
   ?pool:Exec.Pool.t -> t -> src:float array -> dst:float array -> unit
 

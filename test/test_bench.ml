@@ -460,6 +460,42 @@ let cli_history_exit_codes () =
       close_out oc;
       check_int "history of a corrupt file: 2" 2 (Cli.history ~path:history_path ()))
 
+(* The harness's --phase option: an unknown or repeated name exits 2
+   with the valid names before anything runs. Run from a scratch
+   directory so that a harness which did start could append only to a
+   throwaway history. *)
+let bench_exe =
+  let dir = Filename.dirname Sys.executable_name in
+  let dir =
+    if Filename.is_relative dir then Filename.concat (Sys.getcwd ()) dir else dir
+  in
+  Filename.concat dir (Filename.concat Filename.parent_dir_name "bench/main.exe")
+
+let harness_rejects_bad_phase () =
+  with_tmp (fun dir ->
+      let out = Filename.concat dir "out.txt" in
+      List.iter
+        (fun args ->
+          let code =
+            Sys.command
+              (Printf.sprintf "cd %s && %s --quick --skip-micro %s > %s 2>&1"
+                 (Filename.quote dir) (Filename.quote bench_exe) args
+                 (Filename.quote out))
+          in
+          check_int (Printf.sprintf "`%s` exits 2" args) 2 code;
+          let lines =
+            String.split_on_char '\n' (In_channel.with_open_bin out In_channel.input_all)
+            |> List.filter (( <> ) "")
+          in
+          check_int (Printf.sprintf "`%s` prints one line, no table" args) 1
+            (List.length lines);
+          check_true
+            (Printf.sprintf "`%s` lists the phases" args)
+            (String.ends_with
+               ~suffix:"valid phases: store, spmm, serve, ooc, family"
+               (List.hd lines)))
+        [ "--phase nope"; "--phase store --phase spmm" ])
+
 (* ---------------- append_run: what the bench harness calls ---------------- *)
 
 let history_append_run () =
@@ -538,5 +574,7 @@ let suites =
       [
         test "compare exit codes" cli_compare_exit_codes;
         test "history exit codes" cli_history_exit_codes;
+        test "harness --phase rejects unknown and repeated names"
+          harness_rejects_bad_phase;
       ] );
   ]

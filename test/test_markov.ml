@@ -201,6 +201,33 @@ let csr_evolve_into () =
   check_raises_invalid "dst dimension" (fun () ->
       Chain.evolve_into c ~src ~dst:[| 0. |])
 
+(* The serial evolve kernels allocate nothing per call, as chain.mli
+   promises. Counted over many calls, so the boxed float that
+   [Gc.minor_words] itself returns cannot pass for a per-call word. *)
+let csr_evolve_allocation_free () =
+  let game =
+    Games.Graphical.to_game
+      (Games.Graphical.create (Graphs.Generators.ring 8)
+         (Games.Coordination.of_deltas ~delta0:1.0 ~delta1:1.0))
+  in
+  let chain = Logit.Logit_dynamics.chain game ~beta:1.0 in
+  let n = Chain.size chain in
+  let src = Array.make n (1. /. float_of_int n) and dst = Array.make n 0. in
+  let calls = 1_000 in
+  let words_per_call kernel =
+    (* The first call derives the CSC view; only steady state counts. *)
+    kernel chain ~src ~dst;
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      kernel chain ~src ~dst
+    done;
+    int_of_float ((Gc.minor_words () -. before) /. float_of_int calls)
+  in
+  check_int "evolve_into minor words per call" 0
+    (words_per_call (fun c ~src ~dst -> Chain.evolve_into c ~src ~dst));
+  check_int "evolve_pull_into minor words per call" 0
+    (words_per_call (fun c ~src ~dst -> Chain.evolve_pull_into c ~src ~dst))
+
 let csr_evolve_bit_identical =
   QCheck.Test.make ~name:"CSR evolve bit-identical to pre-CSR row scan"
     ~count:20
@@ -1059,6 +1086,7 @@ let suites =
         qcheck csr_rows_sorted_random;
         qcheck csr_prob_binary_search;
         test "evolve_into" csr_evolve_into;
+        test "serial evolve allocates nothing" csr_evolve_allocation_free;
         qcheck csr_evolve_bit_identical;
         qcheck csr_sampler_agreement;
         test "sampler boundaries" csr_sample_boundaries;

@@ -289,6 +289,22 @@ let cftp_rejects_nonbinary () =
       ignore
         (Logit.Perfect_sampling.sample (rng ()) Zoo.rock_paper_scissors ~beta:1.))
 
+(* At β = 1e8 the extreme chains of a coordination ring never meet
+   (t_mix = e^{βζ(1±o(1))}), so the default epoch bound must end the
+   run with No_convergence after bounded work — 2^20 stored moves —
+   instead of doubling the move buffer until memory runs out. *)
+let cftp_default_bound_gives_up () =
+  let game =
+    Graphical.to_game
+      (Graphical.create (Graphs.Generators.ring 3)
+         (Coordination.of_deltas ~delta0:1.0 ~delta1:1.0))
+  in
+  let t0 = Common.Clock.monotonic_ns () in
+  (match Logit.Perfect_sampling.sample (rng ()) game ~beta:1e8 with
+  | _ -> Alcotest.fail "expected No_convergence"
+  | exception Common.No_convergence _ -> ());
+  check_true "gives up within seconds" (Common.Clock.span_s ~since:t0 < 20.)
+
 let x10_smoke () =
   let tables = (Experiments.Registry.find "x10").Experiments.Registry.run ~quick:true in
   check_int "two tables" 2 (List.length tables)
@@ -310,6 +326,7 @@ let suites =
           test "samples are exact" cftp_samples_exact;
           test "certificate" cftp_certificate_positive;
           test "rejects non-binary" cftp_rejects_nonbinary;
+          test "default bound gives up at huge beta" cftp_default_bound_gives_up;
           test "x10 smoke" x10_smoke;
         ] );
     ]

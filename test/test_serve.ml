@@ -406,6 +406,17 @@ let engine_rejects_bad_params () =
   check "a good query still evaluates" true
     (Result.is_ok (Serve.Engine.eval engine (mixing_q ~n:4 1.0)))
 
+(* A Sample query whose CFTP never coalesces gets a typed error
+   once the default epoch bound is spent. *)
+let engine_sample_no_convergence () =
+  let engine = Serve.Engine.create ~spectral_cutoff:0 () in
+  match
+    Serve.Engine.eval engine
+      (P.Sample { game = "ring"; n = 3; beta = 1e8; count = 1; seed = 1 })
+  with
+  | Error (P.Server_error _) -> ()
+  | _ -> Alcotest.fail "expected Server_error"
+
 (* One batch: every bad β and bad eps, interleaved with good queries on
    the same (game, n) key — so the bad ones sit in the very groups that
    the cross-β sweep settles. Each bad query gets its own Bad_request;
@@ -638,6 +649,12 @@ let cli_simulate_sample_exit_2 () =
       "sample ring -n 4 --count=-2";
     ]
 
+(* CFTP that never coalesces (β = 1e8) stops at the default epoch
+   bound: exit 2 with an error, not an out-of-memory abort. *)
+let cli_sample_no_convergence () =
+  check "`sample ring -n 3 --beta 1e8` exits 2" true
+    (cli_exit_code "sample ring -n 3 --beta 1e8 --count 1" = 2)
+
 let suites =
   [
     ( "serve.cli-flags",
@@ -668,6 +685,8 @@ let suites =
           cross_beta_family_batch;
         Alcotest.test_case "engine rejects bad beta and eps" `Quick
           engine_rejects_bad_params;
+        Alcotest.test_case "sample without coalescence is Server_error" `Quick
+          engine_sample_no_convergence;
         Alcotest.test_case "bad params isolated within a batch" `Quick
           batch_isolates_bad_params;
       ] );
@@ -690,5 +709,7 @@ let suites =
           cli_mixing_huge_beta;
         Alcotest.test_case "simulate and sample exit 2 on bad input" `Quick
           cli_simulate_sample_exit_2;
+        Alcotest.test_case "sample exits 2 without coalescence" `Quick
+          cli_sample_no_convergence;
       ] );
   ]
