@@ -53,13 +53,42 @@
 
    Pass --quick to shrink the experiment sweeps; pass --skip-micro to
    print only the tables; pass --phase NAME (store, spmm, serve, ooc or
-   family — phases 1.7 to 1.11) to run just that ablation. *)
+   family — phases 1.7 to 1.11) to run just that ablation. Any other
+   argument exits 2 before the harness starts. *)
 
 open Bechamel
 open Toolkit
 
-let quick = Array.exists (( = ) "--quick") Sys.argv
-let skip_micro = Array.exists (( = ) "--skip-micro") Sys.argv
+(* The command line, read in one pass before anything runs: --quick,
+   --skip-micro, --jobs N and --phase NAME. Any other argument (a stale
+   --X-only spelling, say) or a non-integer --jobs exits 2 here, before
+   any output; phase names are checked against the phase table below. *)
+let quick, skip_micro, jobs_arg, phase_args =
+  let argv = Sys.argv in
+  let n = Array.length argv in
+  let usage msg =
+    Printf.eprintf
+      "bench: %s; options: --quick, --skip-micro, --jobs N, --phase NAME\n" msg;
+    exit 2
+  in
+  let rec go i (quick, skip_micro, jobs, phases) =
+    if i >= n then (quick, skip_micro, jobs, List.rev phases)
+    else
+      match argv.(i) with
+      | "--quick" -> go (i + 1) (true, skip_micro, jobs, phases)
+      | "--skip-micro" -> go (i + 1) (quick, true, jobs, phases)
+      | "--jobs" -> (
+          let value = if i + 1 < n then argv.(i + 1) else "" in
+          match int_of_string_opt value with
+          | Some j -> go (i + 2) (quick, skip_micro, Some j, phases)
+          | None -> usage (Printf.sprintf "--jobs needs an integer, got %S" value))
+      | "--phase" ->
+          (* A missing name reads as "" and is reported as unknown. *)
+          let name = if i + 1 < n then argv.(i + 1) else "" in
+          go (i + 2) (quick, skip_micro, jobs, name :: phases)
+      | arg -> usage (Printf.sprintf "unknown argument %S" arg)
+  in
+  go 1 (false, false, None, [])
 
 (* One trajectory record of the running phase, in this run's profile.
    Serial arms are the default ([jobs = 1]); [speedup] is against the
@@ -89,12 +118,7 @@ let record_phase ~label records =
       exit 1
 
 let jobs =
-  let rec find i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = "--jobs" then int_of_string_opt Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  match find 1 with
+  match jobs_arg with
   | Some j when j >= 2 -> j
   | _ -> Int.max 2 (Domain.recommended_domain_count ())
 
@@ -1270,19 +1294,12 @@ let phases =
 (* The --phase selection, checked before anything runs: an unknown or
    repeated name exits 2 with the valid names. *)
 let selected_phase () =
-  let rec names i acc =
-    if i >= Array.length Sys.argv then List.rev acc
-    else if Sys.argv.(i) = "--phase" then
-      let name = if i + 1 < Array.length Sys.argv then Sys.argv.(i + 1) else "" in
-      names (i + 2) (name :: acc)
-    else names (i + 1) acc
-  in
   let usage msg =
     Printf.eprintf "bench: %s; valid phases: %s\n" msg
       (String.concat ", " (List.map (fun (name, _, _) -> name) phases));
     exit 2
   in
-  match names 1 [] with
+  match phase_args with
   | [] -> None
   | [ name ] -> (
       match List.find_opt (fun (n, _, _) -> n = name) phases with

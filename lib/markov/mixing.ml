@@ -191,41 +191,91 @@ let eigen_pow lambda t =
     if lambda < 0. && t land 1 = 1 then -.magnitude else magnitude
   end
 
-let tv_at_spectral ~decomposition pi ~start ~steps =
-  let values, u = decomposition in
-  let n = Array.length pi in
-  if start < 0 || start >= n then invalid_arg "Mixing.tv_at_spectral: bad start";
-  if steps < 0 then invalid_arg "Mixing.tv_at_spectral: negative steps";
-  let k_count = Array.length values in
-  (* Pᵗ(x,y) = Σ_k λ_kᵗ U(x,k) U(y,k) √(π(y)/π(x)). *)
-  let powers = Array.map (fun lambda -> eigen_pow lambda steps) values in
-  let sqrt_pi = Array.map sqrt pi in
-  let acc = ref 0. in
-  for y = 0 to n - 1 do
-    let p = ref 0. in
-    for k = 0 to k_count - 1 do
-      (* lint: allow float-equality — exact-zero skip of underflowed spectral terms *)
-      if powers.(k) <> 0. then
-        p := !p +. (powers.(k) *. Linalg.Mat.get u start k *. Linalg.Mat.get u y k)
-    done;
-    let pt = !p *. sqrt_pi.(y) /. sqrt_pi.(start) in
-    acc := !acc +. Float.abs (pt -. pi.(y))
-  done;
-  0.5 *. !acc
-
+(* The doubling + binary search only ever asks "is d(t) <= eps?", so
+   d(t) is never formed: [exceeds t] answers "does some start's TV
+   exceed eps?" and stops at the first one that does. With
+   A = D^{1/2} P D^{-1/2} = U Λ Uᵀ,
+     Pᵗ(x,y) = Σ_k λ_kᵗ U(x,k) U(y,k) √π(y) / √π(x),
+   summed over the k whose λ_kᵗ did not underflow to exactly 0, in
+   increasing k, as the product (λ_kᵗ·U(x,k))·U(y,k). A start's TV is a
+   left-to-right sum of non-negative terms; rounding keeps such a sum
+   monotone, so once half of it passes eps the full sum would too, and
+   the verdict is the same as evaluating every term of every start. A
+   NaN anywhere reads as "not mixed". The start that last exceeded eps
+   is tried first: from probe to probe the worst start rarely changes. *)
 let mixing_time_from_decomposition ?(eps = 0.25) ?(max_steps = max_int / 4)
-    ~decomposition pi ~starts =
-  if starts = [] then invalid_arg "Mixing: empty start set";
-  let d steps =
-    List.fold_left
-      (fun acc start ->
-        Float.max acc (tv_at_spectral ~decomposition pi ~start ~steps))
-      0. starts
+    ~decomposition:(values, u) pi ~starts =
+  let n = Array.length pi in
+  check_starts n starts;
+  let k_count = Array.length values in
+  let rows, cols = Linalg.Mat.dims u in
+  if rows <> n then
+    invalid_arg
+      (Printf.sprintf "Mixing: decomposition has %d rows for %d states" rows n);
+  if cols < k_count then
+    invalid_arg
+      (Printf.sprintf "Mixing: decomposition has %d columns for %d eigenvalues"
+         cols k_count);
+  (* Every read below is at row < rows and column < k_count <= cols. *)
+  let data = u.Linalg.Mat.data in
+  let sqrt_pi = Array.map sqrt pi in
+  let starts = Array.of_list starts in
+  let ks = Array.make k_count 0 in
+  let powers = Array.make k_count 0. in
+  let coeffs = Array.make k_count 0. in
+  let start_exceeds m x =
+    let row_x = x * cols in
+    let sqrt_pi_x = sqrt_pi.(x) in
+    for j = 0 to m - 1 do
+      Array.unsafe_set coeffs j
+        (Array.unsafe_get powers j
+        *. Array.unsafe_get data (row_x + Array.unsafe_get ks j))
+    done;
+    let acc = ref 0. in
+    let y = ref 0 in
+    while !y < n && not (0.5 *. !acc > eps) do
+      let row_y = !y * cols in
+      let p = ref 0. in
+      for j = 0 to m - 1 do
+        p :=
+          !p
+          +. Array.unsafe_get coeffs j
+             *. Array.unsafe_get data (row_y + Array.unsafe_get ks j)
+      done;
+      let pt = !p *. Array.unsafe_get sqrt_pi !y /. sqrt_pi_x in
+      acc := !acc +. Float.abs (pt -. Array.unsafe_get pi !y);
+      incr y
+    done;
+    not (0.5 *. !acc <= eps)
   in
-  if d 0 <= eps then Some 0
+  let last = ref 0 in
+  let exceeds steps =
+    let m = ref 0 in
+    for k = 0 to k_count - 1 do
+      let power = eigen_pow values.(k) steps in
+      (* lint: allow float-equality — exact-zero skip of underflowed spectral terms *)
+      if power <> 0. then begin
+        ks.(!m) <- k;
+        powers.(!m) <- power;
+        incr m
+      end
+    done;
+    let m = !m in
+    let rec scan i =
+      if i = Array.length starts then false
+      else if i <> !last && start_exceeds m starts.(i) then begin
+        last := i;
+        true
+      end
+      else scan (i + 1)
+    in
+    start_exceeds m starts.(!last) || scan 0
+  in
+  let mixed steps = not (exceeds steps) in
+  if mixed 0 then Some 0
   else begin
     (* Double to bracket, then binary search on the monotone d(·). *)
-    let rec bracket hi = if d hi <= eps then Some hi else if hi >= max_steps then None else bracket (Int.min max_steps (2 * hi)) in
+    let rec bracket hi = if mixed hi then Some hi else if hi >= max_steps then None else bracket (Int.min max_steps (2 * hi)) in
     match bracket 1 with
     | None -> None
     | Some hi ->
@@ -234,7 +284,7 @@ let mixing_time_from_decomposition ?(eps = 0.25) ?(max_steps = max_int / 4)
           if hi - lo <= 1 then hi
           else
             let mid = lo + ((hi - lo) / 2) in
-            if d mid <= eps then search lo mid else search mid hi
+            if mixed mid then search lo mid else search mid hi
         in
         Some (search (hi / 2) hi)
   end

@@ -124,32 +124,32 @@ val lower_mixing_time_spectral : gap:float -> eps:float -> float
 (** [mixing_time_spectral ?eps ?max_steps t pi ~starts] computes the
     exact mixing time of a {e reversible} chain through its full
     eigendecomposition: with A = D^{1/2} P D^{-1/2} = U Λ Uᵀ,
-    Pᵗ(x,y) = Σ_k λ_kᵗ u_k(x) u_k(y) √(π(y)/π(x)), so d(t) can be
-    evaluated at any t in O(|starts|·size²) without stepping the
-    chain. Since d(·) is non-increasing, the answer is found by
-    doubling + binary search — O(log t_mix) evaluations — which makes
-    exponentially large mixing times (large β) computable exactly.
+    Pᵗ(x,y) = Σ_k λ_kᵗ u_k(x) u_k(y) √(π(y)/π(x)), so whether
+    d(t) <= eps can be decided at any t without stepping the chain.
+    Since d(·) is non-increasing, the answer is found by doubling +
+    binary search — O(log t_mix) probes — which makes exponentially
+    large mixing times (large β) computable exactly. A probe costs
+    O(|starts|·size²) only in the worst case: it stops at the first
+    start whose TV sum passes eps, and within that start at the first
+    state where it does, trying the start that last failed first.
     Falls back on [None] when t_mix exceeds [max_steps] (default
     [max_int / 4]). Requires reversibility (checked). *)
 val mixing_time_spectral :
   ?eps:float -> ?max_steps:int -> Chain.t -> float array -> starts:int list ->
   int option
 
-(** [tv_at_spectral t pi ~decomposition ~start ~steps] evaluates
-    ‖Pᵗ(start,·) - π‖_TV at [t = steps] from a precomputed
-    decomposition (see {!decompose}). *)
-val tv_at_spectral :
-  decomposition:float array * Linalg.Mat.t -> float array -> start:int ->
-  steps:int -> float
-
 (** [decompose t pi] is the eigendecomposition [(eigenvalues, U)] of
-    the symmetrised chain, for repeated {!tv_at_spectral} queries. *)
+    the symmetrised chain, for repeated
+    {!mixing_time_from_decomposition} queries. *)
 val decompose : Chain.t -> float array -> float array * Linalg.Mat.t
 
 (** [mixing_time_from_decomposition ?eps ?max_steps ~decomposition pi
     ~starts] is {!mixing_time_spectral} driven by a caller-supplied
     eigendecomposition — e.g. the tridiagonal one of a birth–death
-    chain, which avoids the dense Jacobi solve entirely. *)
+    chain, which avoids the dense Jacobi solve entirely. Raises
+    [Invalid_argument] before any probe on an empty or out-of-range
+    start, a U whose row count is not [Array.length pi], or a U with
+    fewer columns than there are eigenvalues. *)
 val mixing_time_from_decomposition :
   ?eps:float -> ?max_steps:int -> decomposition:float array * Linalg.Mat.t ->
   float array -> starts:int list -> int option

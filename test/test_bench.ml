@@ -460,10 +460,12 @@ let cli_history_exit_codes () =
       close_out oc;
       check_int "history of a corrupt file: 2" 2 (Cli.history ~path:history_path ()))
 
-(* The harness's --phase option: an unknown or repeated name exits 2
-   with the valid names before anything runs. Run from a scratch
-   directory so that a harness which did start could append only to a
-   throwaway history. *)
+(* The harness's command line: an unknown or repeated --phase name
+   exits 2 with the valid names, and an unknown argument (the stale
+   --spmm-only spelling) or a non-integer --jobs exits 2 with the
+   accepted options, before anything runs. Run from a scratch directory
+   so that a harness which did start could append only to a throwaway
+   history. *)
 let bench_exe =
   let dir = Filename.dirname Sys.executable_name in
   let dir =
@@ -474,8 +476,10 @@ let bench_exe =
 let harness_rejects_bad_phase () =
   with_tmp (fun dir ->
       let out = Filename.concat dir "out.txt" in
+      let phases = "valid phases: store, spmm, serve, ooc, family" in
+      let options = "options: --quick, --skip-micro, --jobs N, --phase NAME" in
       List.iter
-        (fun args ->
+        (fun (args, suffix) ->
           let code =
             Sys.command
               (Printf.sprintf "cd %s && %s --quick --skip-micro %s > %s 2>&1"
@@ -490,11 +494,15 @@ let harness_rejects_bad_phase () =
           check_int (Printf.sprintf "`%s` prints one line, no table" args) 1
             (List.length lines);
           check_true
-            (Printf.sprintf "`%s` lists the phases" args)
-            (String.ends_with
-               ~suffix:"valid phases: store, spmm, serve, ooc, family"
-               (List.hd lines)))
-        [ "--phase nope"; "--phase store --phase spmm" ])
+            (Printf.sprintf "`%s` ends with %S" args suffix)
+            (String.ends_with ~suffix (List.hd lines)))
+        [
+          ("--phase nope", phases);
+          ("--phase store --phase spmm", phases);
+          ("--spmm-only", options);
+          ("--phase spmm --bogus", options);
+          ("--jobs four", options);
+        ])
 
 (* ---------------- append_run: what the bench harness calls ---------------- *)
 

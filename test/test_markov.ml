@@ -530,6 +530,207 @@ let mixing_spectral_bounds () =
   check_float ~tol:1e-12 "lower" (1. *. log 2.)
     (Mixing.lower_mixing_time_spectral ~gap:0.5 ~eps:0.25)
 
+(* ----- Spectral mixing time: early-exit search vs per-start oracle ----- *)
+
+(* The per-start spectral evaluator that the early-exit d(t) <= eps
+   test replaced: every start's full TV at every probe, folded with
+   Float.max, under the same doubling + binary search. The library's
+   [Mixing.mixing_time_from_decomposition] must return exactly its
+   answer, [Some]/[None] included. *)
+let legacy_eigen_pow lambda t =
+  if t = 0 then 1.
+  (* lint: allow float-equality — exact zero short-circuits before log *)
+  else if lambda = 0. then 0.
+  else begin
+    let magnitude = exp (float_of_int t *. log (Float.abs lambda)) in
+    if lambda < 0. && t land 1 = 1 then -.magnitude else magnitude
+  end
+
+let legacy_tv_at_spectral ~decomposition pi ~start ~steps =
+  let values, u = decomposition in
+  let n = Array.length pi in
+  if start < 0 || start >= n then invalid_arg "legacy_tv_at_spectral: bad start";
+  let k_count = Array.length values in
+  let powers = Array.map (fun lambda -> legacy_eigen_pow lambda steps) values in
+  let sqrt_pi = Array.map sqrt pi in
+  let acc = ref 0. in
+  for y = 0 to n - 1 do
+    let p = ref 0. in
+    for k = 0 to k_count - 1 do
+      (* lint: allow float-equality — exact-zero skip of underflowed spectral terms *)
+      if powers.(k) <> 0. then
+        p := !p +. (powers.(k) *. Linalg.Mat.get u start k *. Linalg.Mat.get u y k)
+    done;
+    let pt = !p *. sqrt_pi.(y) /. sqrt_pi.(start) in
+    acc := !acc +. Float.abs (pt -. pi.(y))
+  done;
+  0.5 *. !acc
+
+let legacy_mixing_time_from_decomposition ?(eps = 0.25) ?(max_steps = max_int / 4)
+    ~decomposition pi ~starts =
+  let d steps =
+    List.fold_left
+      (fun acc start ->
+        Float.max acc (legacy_tv_at_spectral ~decomposition pi ~start ~steps))
+      0. starts
+  in
+  if d 0 <= eps then Some 0
+  else begin
+    let rec bracket hi =
+      if d hi <= eps then Some hi
+      else if hi >= max_steps then None
+      else bracket (Int.min max_steps (2 * hi))
+    in
+    match bracket 1 with
+    | None -> None
+    | Some hi ->
+        let rec search lo hi =
+          if hi - lo <= 1 then hi
+          else
+            let mid = lo + ((hi - lo) / 2) in
+            if d mid <= eps then search lo mid else search mid hi
+        in
+        Some (search (hi / 2) hi)
+  end
+
+(* Decompositions the oracle test draws from, built once each: the
+   daemon's spectral keys (catalogue games ring/curve/dominant/clique,
+   n 3–6, β ∈ {0, 0.5, 1, 2, 3}, dense Jacobi) and lumped birth–death
+   chains at 4n players (tridiagonal QL; the clique for an even game
+   index, the curve family for an odd one). *)
+let spectral_betas = [| 0.; 0.5; 1.; 2.; 3. |]
+let spectral_games = [| "ring"; "curve"; "dominant"; "clique" |]
+let spectral_cache : (int * int * int * bool, (float array * Linalg.Mat.t) * float array) Hashtbl.t =
+  Hashtbl.create 64
+
+let spectral_case ~game ~n ~beta ~lumped =
+  let key = (game, n, beta, lumped) in
+  match Hashtbl.find_opt spectral_cache key with
+  | Some c -> c
+  | None ->
+      let b = spectral_betas.(beta) in
+      let c =
+        if lumped then begin
+          let bd =
+            if game mod 2 = 0 then
+              Logit.Lumping.clique ~n:(4 * n) ~delta0:1.0 ~delta1:1.0 ~beta:b
+            else
+              Logit.Lumping.curve
+                ~game:(Games.Curve_game.create ~players:(4 * n) ~global:2.0 ~local:1.0)
+                ~beta:b
+          in
+          (Birth_death.decomposition bd, Birth_death.stationary bd)
+        end
+        else begin
+          let spec = Option.get (Serve.Catalog.find spectral_games.(game)) in
+          let g, phi = spec.Serve.Catalog.build ~n ~beta:b in
+          let chain = Logit.Logit_dynamics.chain g ~beta:b in
+          let pi = Logit.Gibbs.stationary (Games.Game.space g) (Option.get phi) ~beta:b in
+          (Mixing.decompose chain pi, pi)
+        end
+      in
+      Hashtbl.replace spectral_cache key c;
+      c
+
+(* The most likely state: from it alone d(0) = 1 - π(x) can sit below
+   eps, the [Some 0] path. *)
+let mode pi =
+  let best = ref 0 in
+  Array.iteri (fun i p -> if p > pi.(!best) then best := i) pi;
+  !best
+
+let spectral_eps = [| 5e-324; 1e-300; 0.01; 0.05; 0.1; 0.2; 0.25; 0.3; 0.4 |]
+let spectral_small_budgets = [| 0; 1; 3; 40; 1_000 |]
+
+let mixing_spectral_matches_legacy =
+  QCheck.Test.make
+    ~name:"early-exit spectral t_mix = per-start oracle (Some/None, exact)"
+    ~count:120
+    QCheck.(
+      pair
+        (quad (int_bound 3) (int_range 3 6) (int_bound 4) bool)
+        (quad (int_bound 8) (int_bound 9) (int_bound 2) (int_bound 1_000_000)))
+    (fun ((game, n, beta, lumped), (e, m, start_pick, seed)) ->
+      let decomposition, pi = spectral_case ~game ~n ~beta ~lumped in
+      let eps = spectral_eps.(e) in
+      (* Half the cases search without a step budget; the rest get a
+         small one, where [None] is a common answer. *)
+      let max_steps = if m < 5 then max_int / 4 else spectral_small_budgets.(m - 5) in
+      let size = Array.length pi in
+      let r = Prob.Rng.create seed in
+      let starts =
+        match start_pick with
+        | 0 ->
+            (* Every state, in a seeded order: the search reorders its
+               starts, and no order may change an answer. *)
+            let all = Array.init size Fun.id in
+            Prob.Rng.shuffle r all;
+            Array.to_list all
+        | 1 -> [ mode pi ]
+        | _ ->
+            List.filter (fun _ -> Prob.Rng.float r < 0.3) (List.init size Fun.id)
+            |> function [] -> [ seed mod size ] | l -> l
+      in
+      Mixing.mixing_time_from_decomposition ~eps ~max_steps ~decomposition pi ~starts
+      = legacy_mixing_time_from_decomposition ~eps ~max_steps ~decomposition pi
+          ~starts)
+
+let mixing_spectral_edge_cases () =
+  (* A one-state chain has mixed before its first step. *)
+  let one = ([| 1. |], Linalg.Mat.of_rows [| [| 1. |] |]) in
+  check_true "single state mixes at t = 0"
+    (Mixing.mixing_time_from_decomposition ~decomposition:one [| 1. |] ~starts:[ 0 ]
+    = Some 0);
+  (* The most likely state of the dominant-strategy game at β = 3 is
+     already within 0.3 of π: the [d 0 <= eps] path on a real chain. *)
+  let decomposition, pi = spectral_case ~game:2 ~n:3 ~beta:4 ~lumped:false in
+  let starts = [ mode pi ] in
+  check_true "dominant game mixes at t = 0 from its mode"
+    (Mixing.mixing_time_from_decomposition ~eps:0.3 ~decomposition pi ~starts = Some 0
+    && legacy_mixing_time_from_decomposition ~eps:0.3 ~decomposition pi ~starts
+       = Some 0);
+  (* A NaN in the λ = 1 column of U, or a NaN eigenvalue, poisons
+     every probe of every start: never "mixed", so no answer. *)
+  let pi = [| 0.5; 0.5 |] in
+  let s = sqrt 0.5 in
+  let u = Linalg.Mat.of_rows [| [| s; s |]; [| s; -.s |] |] in
+  let nan_u = ([| 1.; 0.5 |], Linalg.Mat.of_rows [| [| Float.nan; s |]; [| s; -.s |] |]) in
+  let nan_value = ([| 1.; Float.nan |], u) in
+  List.iter
+    (fun (what, decomposition) ->
+      List.iter
+        (fun starts ->
+          check_true (what ^ ": no t_mix")
+            (Mixing.mixing_time_from_decomposition ~max_steps:100_000 ~decomposition
+               pi ~starts
+            = None);
+          check_true (what ^ ": oracle agrees")
+            (legacy_mixing_time_from_decomposition ~max_steps:100_000 ~decomposition
+               pi ~starts
+            = None))
+        [ [ 0 ]; [ 1 ]; [ 0; 1 ]; [ 1; 0 ] ])
+    [ ("NaN in U", nan_u); ("NaN eigenvalue", nan_value) ]
+
+let mixing_spectral_validation () =
+  let c = two_state 0.25 0.25 in
+  let pi = [| 0.5; 0.5 |] in
+  let values, u = Mixing.decompose c pi in
+  let run ?(decomposition = (values, u)) ?(pi = pi) starts () =
+    ignore (Mixing.mixing_time_from_decomposition ~decomposition pi ~starts)
+  in
+  check_true "well-formed input answers"
+    (Mixing.mixing_time_from_decomposition ~decomposition:(values, u) pi
+       ~starts:[ 0; 1 ]
+    = Some 1);
+  check_raises_invalid "empty starts" (run []);
+  check_raises_invalid "negative start" (run [ -1 ]);
+  (* Checked before any probe, not when (or whether) a probe reaches
+     the bad start: start 0 alone has not mixed at t = 0. *)
+  check_raises_invalid "start past the end, after an unmixed one" (run [ 0; 2 ]);
+  check_raises_invalid "U rows <> |pi|" (run ~pi:[| 0.25; 0.25; 0.5 |] [ 0 ]);
+  check_raises_invalid "U narrower than the spectrum"
+    (run ~decomposition:(Array.append values [| 0. |], u) [ 0 ])
+
 (* ----- Spectral ----- *)
 
 let spectral_two_state () =
@@ -1118,6 +1319,9 @@ let suites =
         qcheck mixing_monotone;
         qcheck mixing_tv_at_matches_curve;
         qcheck mixing_spectral_matches_evolution;
+        qcheck mixing_spectral_matches_legacy;
+        test "spectral edge cases (t = 0, NaN)" mixing_spectral_edge_cases;
+        test "spectral decomposition validation" mixing_spectral_validation;
         qcheck mixing_squaring_matches_evolution;
       ] );
     ( "markov.family",
